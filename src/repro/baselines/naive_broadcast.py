@@ -81,7 +81,9 @@ class NaiveBroadcast:
         seed: Randomness seed.
         max_slots: Optional hard override of the schedule length.
         early_stop: Stop once everyone is informed.
-        chunk: Slots per resolution chunk.
+        chunk: Slots drawn and resolved per loop iteration. The RNG
+            draws labels and coins a chunk at a time, so changing it
+            changes the random stream and hence the result rows.
     """
 
     def __init__(
@@ -148,9 +150,7 @@ class NaiveBroadcast:
             offset = 0
             while offset < batch:
                 tx = coins[offset:] & informed[None, :]
-                outcome = resolve_varying(
-                    net.adjacency, channels[offset:], tx, chunk=self.chunk
-                )
+                outcome = resolve_varying(net.adjacency, channels[offset:], tx)
                 heard = outcome.heard_from >= 0
                 new_hits = heard & ~informed[None, :]
                 if not new_hits.any():

@@ -79,7 +79,9 @@ class NaiveDiscovery:
             ``ceil(naive_factor * (c²/k) * Δ * lg n)`` slots.
         seed: Randomness seed.
         max_slots: Optional hard override of the schedule length.
-        chunk: Engine batch size (slots per 3-D resolution chunk).
+        chunk: Slots drawn and resolved per loop iteration. The RNG
+            draws labels and coins a chunk at a time, so changing it
+            changes the random stream and hence the result rows.
         environment: Optional spectrum environment
             (:class:`repro.sim.environment.SpectrumEnvironment`); each
             run opens a fresh single-trial stream seeded from ``seed``,
@@ -144,18 +146,15 @@ class NaiveDiscovery:
             else None
         )
         tx_prob = 0.5 / max(1, kn.max_degree)  # role coin x back-off rate
+        node_idx = np.arange(n)
         slot_cursor = 0
         remaining = self.schedule_slots
         while remaining > 0:
             batch = min(self.chunk, remaining)
             labels = rng.integers(0, c, size=(batch, n))
-            channels = np.take_along_axis(
-                np.broadcast_to(table, (batch, n, c)), labels[:, :, None], 2
-            )[:, :, 0]
+            channels = table[node_idx[None, :], labels]
             tx = rng.random((batch, n)) < tx_prob
-            outcome = resolve_varying(
-                net.adjacency, channels, tx, chunk=self.chunk
-            )
+            outcome = resolve_varying(net.adjacency, channels, tx)
             if traffic is not None:
                 # Per-slot occupancy kill: the naive hopper re-tunes
                 # every slot, so the mask is gathered per (slot, node)

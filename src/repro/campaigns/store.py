@@ -39,7 +39,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.harness.cache import json_default
+from repro.harness.cache import json_default, replace_atomically
 from repro.harness.runner import ExperimentTable
 from repro.harness.tables import write_csv
 from repro.model.errors import HarnessError, StoreError
@@ -52,14 +52,10 @@ _SCHEMA = 1
 
 
 def _write_json(path: Path, payload: object) -> None:
-    """Atomic JSON write (temp file + replace)."""
+    """Atomic JSON write (unique temp file + replace)."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(
-        json.dumps(payload, default=json_default, indent=1),
-        encoding="utf-8",
-    )
-    tmp.replace(path)
+    text = json.dumps(payload, default=json_default, indent=1)
+    replace_atomically(path, lambda tmp: tmp.write_text(text, "utf-8"))
 
 
 def _read_json(path: Path) -> Optional[dict]:
@@ -267,14 +263,15 @@ class CampaignRun:
         directory = self.entry_dir(entry_id)
         directory.mkdir(parents=True, exist_ok=True)
         _write_json(directory / "rows.json", table.to_payload())
-        csv_tmp = write_csv(
-            directory / "rows.csv.tmp", table.rows, columns=table.columns
+        replace_atomically(
+            directory / "rows.csv",
+            lambda tmp: write_csv(tmp, table.rows, columns=table.columns),
         )
-        csv_tmp.replace(directory / "rows.csv")
-        md = directory / "table.md"
-        md_tmp = md.with_suffix(".md.tmp")
-        md_tmp.write_text(table.to_markdown() + "\n", encoding="utf-8")
-        md_tmp.replace(md)
+        markdown = table.to_markdown() + "\n"
+        replace_atomically(
+            directory / "table.md",
+            lambda tmp: tmp.write_text(markdown, "utf-8"),
+        )
         # The store-controlled fields come last: they must win over
         # anything a caller-supplied manifest happens to carry (e.g. a
         # previous attempt's status when a retry reuses its block).

@@ -22,8 +22,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import uuid
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from repro.harness.runner import ExperimentTable
 
@@ -33,6 +34,7 @@ __all__ = [
     "code_version",
     "json_default",
     "load_table",
+    "replace_atomically",
     "store_table",
 ]
 
@@ -116,6 +118,22 @@ def json_default(value: object) -> object:
     raise TypeError(f"unserializable cache value: {value!r}")
 
 
+def replace_atomically(path: Path, write: Callable[[Path], object]) -> None:
+    """Produce ``path`` via ``write(tmp)`` on a unique temp file + replace.
+
+    The temp name is unique per call, so concurrent writers of one path
+    never share a temp file: each replaces ``path`` with a complete
+    file of its own, and a failed write removes its temp file.
+    """
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def store_table(
     table: ExperimentTable,
     trials: Optional[int],
@@ -134,12 +152,8 @@ def store_table(
     }
     if extra:
         payload["extra"] = dict(extra)
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(
-        json.dumps(payload, default=json_default, indent=1),
-        encoding="utf-8",
-    )
-    tmp.replace(path)
+    text = json.dumps(payload, default=json_default, indent=1)
+    replace_atomically(path, lambda tmp: tmp.write_text(text, "utf-8"))
     return path
 
 

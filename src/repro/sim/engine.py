@@ -11,7 +11,7 @@ pure functions over numpy arrays:
   indistinguishable (no collision detection);
 * broadcasters receive nothing (they only "hear" their own message).
 
-Three entry points:
+Four entry points:
 
 :func:`resolve_slot`
     One slot with explicit per-node channel and broadcast decisions.
@@ -30,6 +30,15 @@ Three entry points:
     loop — not the per-slot loop — is the hot path. Entry ``[b]`` of the
     result is bit-identical to a serial :func:`resolve_step` call on
     trial ``b``'s inputs.
+:func:`resolve_varying`
+    ``T`` slots in which every node re-tunes and re-rolls its role each
+    slot (the naive baselines). There is no fixed-channel step to build
+    one mask for, so it works from the transmit events instead: each
+    transmitting ``(slot, node)`` is expanded against its adjacency
+    column, same-channel receivers are kept, and ``bincount`` reductions
+    over ``(slot, receiver)`` give contenders and id-sums. Its cost
+    follows the ``~T * n / Delta`` events of the naive hopper, not
+    ``T * n^2``.
 
 :func:`resolve_step_batch` additionally accepts a *per-trial* ``(B, n,
 n)`` adjacency stack, which is what lets one lockstep execution span
@@ -422,23 +431,25 @@ def resolve_varying(
     adjacency: np.ndarray,
     channels: np.ndarray,
     tx: np.ndarray,
-    chunk: int = 128,
 ) -> StepOutcome:
     """Resolve ``T`` slots in which channels change every slot.
 
     Used by the naive baselines, whose nodes re-hop on every slot (no
-    fixed-channel step structure to batch over). Processed in chunks of
-    3-D boolean masks to bound memory at ``chunk * n^2``.
+    fixed-channel step structure to batch over). Resolved from the
+    transmit events rather than dense per-slot masks: each transmitting
+    ``(t, v)`` expands against ``v``'s adjacency column, receivers on
+    ``v``'s slot-``t`` channel are kept, and two ``bincount`` reductions
+    over ``(t, u)`` give the contender counts and the id-sums. The work
+    scales with the events and their degrees, not with ``T * n^2``.
 
     Args:
         adjacency: ``(n, n)`` boolean adjacency matrix.
         channels: ``(T, n)`` global channel per node per slot (``-1``
             idle).
         tx: ``(T, n)`` boolean; True = broadcasting that slot.
-        chunk: Slots per processing chunk.
 
     Returns:
-        A :class:`StepOutcome` over all ``T`` slots.
+        A :class:`StepOutcome` over all ``T`` slots (``T`` may be 0).
     """
     if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
         raise ProtocolError(
@@ -453,30 +464,19 @@ def resolve_varying(
         raise ProtocolError(
             f"tx shape {tx.shape} must match channels {channels.shape}"
         )
-    if chunk < 1:
-        raise ProtocolError(f"chunk must be >= 1, got {chunk}")
     total = channels.shape[0]
-    ids = np.arange(n, dtype=np.int64)
-    heard_parts = []
-    contender_parts = []
-    for start in range(0, total, chunk):
-        ch = channels[start : start + chunk]
-        tx_c = tx[start : start + chunk]
-        tuned = ch >= 0
-        # reach[t, u, v]: v's slot-t broadcast reaches u.
-        reach = (
-            (ch[:, :, None] == ch[:, None, :])
-            & adjacency[None, :, :]
-            & tuned[:, :, None]
-            & (tuned & tx_c)[:, None, :]
-        )
-        contenders = reach.sum(axis=2)
-        idsum = (reach * ids[None, None, :]).sum(axis=2)
-        listeners = tuned & ~tx_c
-        heard = np.where(listeners & (contenders == 1), idsum, -1)
-        heard_parts.append(heard.astype(np.int64))
-        contender_parts.append(contenders.astype(np.int64))
-    return StepOutcome(
-        heard_from=np.concatenate(heard_parts, axis=0),
-        contenders=np.concatenate(contender_parts, axis=0),
-    )
+    t, v = np.nonzero(tx & (channels >= 0))
+    # (event, u) pairs with adjacency[u, v]: v's broadcast reaches u if
+    # u is tuned to v's channel that slot (so idle nodes count none).
+    event, u = np.nonzero(adjacency.T[v])
+    t, v = t[event], v[event]
+    same = channels[t, u] == channels[t, v]
+    cell = t[same] * n + u[same]
+    contenders = np.bincount(cell, minlength=total * n)
+    idsum = np.bincount(cell, weights=v[same], minlength=total * n)
+    contenders = contenders.reshape(total, n).astype(np.int64, copy=False)
+    # The id-sum trick: with exactly one contender the (exact, < n^2)
+    # weighted sum is that sender's id.
+    receivable = ~tx & (contenders == 1)
+    heard = np.where(receivable, idsum.reshape(total, n), -1)
+    return StepOutcome(heard_from=heard.astype(np.int64), contenders=contenders)

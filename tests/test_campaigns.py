@@ -35,6 +35,7 @@ from repro.campaigns import (
 from repro.campaigns import orchestrate
 from repro.harness.runner import ExperimentTable
 from repro.model.errors import HarnessError, StoreError
+from tests.test_harness import write_concurrently
 
 
 def tiny_campaign(name="tiny", **kwargs):
@@ -401,6 +402,19 @@ class TestStore:
         (run.entry_dir("clean") / "rows.json").write_text("{broken")
         key = run.entry_manifest("clean")["key"]
         assert run.completed_entry("clean", key) is None
+
+    def test_concurrent_writers_of_one_entry(self, tmp_path, monkeypatch):
+        run = RunStore(tmp_path).run("tiny", "r1")
+        table = ExperimentTable(
+            experiment_id="EX", title="demo", rows=[{"x": 1, "y": 2.5}]
+        )
+        write_concurrently(
+            monkeypatch,
+            lambda: run.write_entry("clean", {"key": "k"}, table),
+        )
+        files = sorted(p.name for p in run.entry_dir("clean").iterdir())
+        assert files == ["manifest.json", "rows.csv", "rows.json", "table.md"]
+        assert run.completed_entry("clean", "k").rows == table.rows
 
     def test_latest_run_missing_campaign_raises(self, tmp_path):
         with pytest.raises(HarnessError, match="no stored runs"):

@@ -184,7 +184,7 @@ class TestResolveVarying:
         adj = adj | adj.T
         channels = rng.integers(-1, 5, size=(slots, n))
         tx = rng.random((slots, n)) < 0.5
-        out = resolve_varying(adj, channels, tx, chunk=7)
+        out = resolve_varying(adj, channels, tx)
         for t in range(slots):
             slot = resolve_slot(adj, channels[t], tx[t])
             assert np.array_equal(out.heard_from[t], slot.heard_from)
@@ -197,11 +197,18 @@ class TestResolveVarying:
             )
         with pytest.raises(ProtocolError):
             resolve_varying(
-                adj,
-                np.ones((4, 2), dtype=int),
-                np.ones((4, 2), dtype=bool),
-                chunk=0,
+                adj, np.ones((4, 2), dtype=int), np.ones((3, 2), dtype=bool)
             )
+
+    def test_zero_slots_give_empty_outcome(self):
+        out = resolve_varying(
+            path_adj(3),
+            np.zeros((0, 3), dtype=np.int64),
+            np.zeros((0, 3), dtype=bool),
+        )
+        for field in (out.heard_from, out.contenders):
+            assert field.shape == (0, 3)
+            assert field.dtype == np.int64
 
 
 def random_step_inputs(seed, n=14, slots=12):

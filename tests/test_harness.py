@@ -1,6 +1,9 @@
 """Unit tests for the experiment harness (tables, runner, registry,
 executors, and the result cache)."""
 
+import threading
+from pathlib import Path
+
 import pytest
 
 from repro.harness import (
@@ -163,6 +166,42 @@ class TestExecutionEquivalence:
         assert serial.rows == parallel.rows
 
 
+def write_concurrently(monkeypatch, writer, writers=3):
+    """Run ``writer`` in threads whose temp-file writes move in lockstep.
+
+    Every ``Path.write_text`` waits until each thread has made the same
+    call, so all writers have written their temp files before any of
+    them replaces the target: the interleaving that breaks a shared
+    temp name.
+    """
+    barrier = threading.Barrier(writers, timeout=10)
+    write_text = Path.write_text
+
+    def synced(self, *args, **kwargs):
+        written = write_text(self, *args, **kwargs)
+        barrier.wait()
+        return written
+
+    errors = []
+
+    def run():
+        try:
+            writer()
+        except Exception as exc:
+            errors.append(exc)
+            barrier.abort()
+
+    threads = [threading.Thread(target=run) for _ in range(writers)]
+    with monkeypatch.context() as patch:
+        patch.setattr(Path, "write_text", synced)
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+
+
 class TestResultCache:
     def make(self):
         return ExperimentTable(
@@ -191,6 +230,16 @@ class TestResultCache:
         path = store_table(self.make(), trials=1, seed=0, cache_dir=tmp_path)
         path.write_text("{not json")
         assert load_table("EX", trials=1, seed=0, cache_dir=tmp_path) is None
+
+    def test_concurrent_writers_of_one_key(self, tmp_path, monkeypatch):
+        table = self.make()
+        write_concurrently(
+            monkeypatch,
+            lambda: store_table(table, trials=3, seed=1, cache_dir=tmp_path),
+        )
+        assert len(list(tmp_path.iterdir())) == 1
+        loaded = load_table("EX", trials=3, seed=1, cache_dir=tmp_path)
+        assert loaded is not None and loaded.rows == table.rows
 
     def test_key_is_stable_and_param_sensitive(self):
         assert cache_key("E1", 3, 0) == cache_key("e1", 3, 0)
