@@ -40,12 +40,11 @@ from repro.core import (
     CSeekBatch,
     ProtocolConstants,
     resolve_backoff_batch,
-    run_count_step,
-    run_count_step_batch,
 )
 from repro.core.cseek import backoff_probabilities
 from repro.graphs import build_network, random_regular
 from repro.harness import run_experiment, run_trials
+from repro.scenarios.trials import count_trial
 from repro.sim import MarkovTraffic
 from repro.sim.engine import resolve_step
 
@@ -70,33 +69,15 @@ def _count_workload(m=32):
 
 def _count_trial():
     adj, channels, tx_role = _count_workload()
-
-    def trial(s: int) -> float:
-        out = run_count_step(
-            adj,
-            channels,
-            tx_role,
-            max_count=32,
-            log_n=5,
-            constants=HEAVY_CONSTS,
-            rng=np.random.default_rng(s),
-        )
-        return float(out.estimates[0])
-
-    def run_batch(seeds):
-        out = run_count_step_batch(
-            adj,
-            channels,
-            tx_role,
-            max_count=32,
-            log_n=5,
-            constants=HEAVY_CONSTS,
-            rngs=[np.random.default_rng(s) for s in seeds],
-        )
-        return [float(e) for e in out.estimates[:, 0]]
-
-    trial.run_batch = run_batch
-    return trial
+    return count_trial(
+        adj,
+        channels,
+        tx_role,
+        max_count=32,
+        log_n=5,
+        constants=HEAVY_CONSTS,
+        postprocess=lambda estimates: float(estimates[0]),
+    )
 
 
 def bench_trials64_serial(benchmark):

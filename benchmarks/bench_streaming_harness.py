@@ -32,12 +32,9 @@ import textwrap
 import numpy as np
 
 from repro.analysis import StreamingSummary, summarize
-from repro.core import (
-    ProtocolConstants,
-    run_count_step,
-    run_count_step_batch,
-)
+from repro.core import ProtocolConstants
 from repro.harness import StreamingExecutor, run_trials, stream_trials
+from repro.scenarios.trials import count_trial
 
 TRIALS = 4096
 CHUNK = 512
@@ -62,33 +59,15 @@ def _count_workload(m=32):
 
 def _count_trial():
     adj, channels, tx_role = _count_workload()
-
-    def trial(s: int) -> float:
-        out = run_count_step(
-            adj,
-            channels,
-            tx_role,
-            max_count=32,
-            log_n=5,
-            constants=FAST_CONSTS,
-            rng=np.random.default_rng(s),
-        )
-        return float(out.estimates[0])
-
-    def run_batch(seeds):
-        out = run_count_step_batch(
-            adj,
-            channels,
-            tx_role,
-            max_count=32,
-            log_n=5,
-            constants=FAST_CONSTS,
-            rngs=[np.random.default_rng(s) for s in seeds],
-        )
-        return [float(e) for e in out.estimates[:, 0]]
-
-    trial.run_batch = run_batch
-    return trial
+    return count_trial(
+        adj,
+        channels,
+        tx_role,
+        max_count=32,
+        log_n=5,
+        constants=FAST_CONSTS,
+        postprocess=lambda estimates: float(estimates[0]),
+    )
 
 
 def bench_stream4096_materialized(benchmark):
@@ -130,7 +109,7 @@ _RSS_SCRIPT = textwrap.dedent(
     import numpy as np
 
     from repro.analysis import StreamingSummary
-    from repro.core import ProtocolConstants, run_count_step_batch
+    from repro.core import CountXBatch, ProtocolConstants
     from repro.harness import StreamingExecutor, stream_trials
 
     consts = ProtocolConstants.fast()
@@ -144,17 +123,13 @@ _RSS_SCRIPT = textwrap.dedent(
     tx_role[0] = False
 
     def trial(s):
-        raise RuntimeError("streamed chunks must ride run_batch")
+        raise RuntimeError("streamed chunks must ride the descriptor")
 
-    def run_batch(seeds):
-        out = run_count_step_batch(
-            adj, channels, tx_role, max_count=8, log_n=3,
-            constants=consts,
-            rngs=[np.random.default_rng(s) for s in seeds],
-        )
-        return [float(e) for e in out.estimates[:, 0]]
-
-    trial.run_batch = run_batch
+    trial.xbatch = CountXBatch(
+        adj=adj, channels=channels, tx_role=tx_role, max_count=8,
+        log_n=3, constants=consts,
+        postprocess=lambda estimates: float(estimates[0]),
+    )
 
     summary = StreamingSummary()
 

@@ -33,7 +33,6 @@ from repro.core.cseek import (
 from repro.core.cseek_batch import (
     CSeekBatch,
     LockstepMember,
-    batched_discovery,
     lockstep_signature,
     run_cseek_lockstep,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "ProtocolConstants",
     "XBatchable",
     "agree_dedicated_channels",
-    "batched_discovery",
     "build_color_channels",
     "cgcast_lockstep_signature",
     "choose_part2_labels",

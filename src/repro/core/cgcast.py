@@ -119,14 +119,6 @@ class CGCast:
         coloring_loss_rate: Exchange-loss injection inside the coloring
             loop (failure-mode experiments).
         early_stop: Stop dissemination phases once everyone is informed.
-        discovery: Optional precomputed CSEEK result to use as phase 1.
-            Must be the execution this instance would run itself (same
-            network/knowledge/constants/environment,
-            ``rng_label="cgcast.discovery"``, this seed) for results to
-            stay bit-identical — which is exactly what
-            :func:`repro.core.cseek_batch.batched_discovery`
-            produces, letting Monte Carlo sweeps batch CGCAST's most
-            expensive phase across the trial axis.
         environment: Optional spectrum environment
             (:class:`repro.sim.environment.SpectrumEnvironment`)
             applied to the discovery phase — the one phase that runs
@@ -145,7 +137,6 @@ class CGCast:
         exchange_mode: ExchangeMode = "oracle",
         coloring_loss_rate: float = 0.0,
         early_stop: bool = True,
-        discovery: Optional[CSeekResult] = None,
         environment=None,
     ) -> None:
         if exchange_mode not in ("oracle", "simulated"):
@@ -162,7 +153,6 @@ class CGCast:
         self.exchange_mode = exchange_mode
         self.coloring_loss_rate = coloring_loss_rate
         self.early_stop = early_stop
-        self.precomputed_discovery = discovery
         self.environment = environment
 
     # ------------------------------------------------------------------
@@ -173,16 +163,14 @@ class CGCast:
         ledger = SlotLedger()
 
         # 1. Discovery ------------------------------------------------
-        discovery = self.precomputed_discovery
-        if discovery is None:
-            discovery = CSeek(
-                net,
-                knowledge=kn,
-                constants=self.constants,
-                seed=self.seed,
-                rng_label="cgcast.discovery",
-                environment=self.environment,
-            ).run()
+        discovery = CSeek(
+            net,
+            knowledge=kn,
+            constants=self.constants,
+            seed=self.seed,
+            rng_label="cgcast.discovery",
+            environment=self.environment,
+        ).run()
         ledger.merge(discovery.ledger, prefix="discovery.")
 
         # 2. Meeting-time exchange + dedicated channels ----------------
@@ -316,24 +304,6 @@ class CGCast:
             if edge in received:
                 colors[edge] = color
         return colors
-
-    # ------------------------------------------------------------------
-    # Batched execution
-    # ------------------------------------------------------------------
-    def batch(self) -> "object":
-        """A :class:`~repro.core.cgcast_batch.CGCastBatch` with this
-        configuration.
-
-        The returned runner executes many trial seeds of this exact
-        protocol (source, exchange mode, loss rate, early stop,
-        environment) in lockstep across the trial axis;
-        ``batch().run([s])[0]`` is bit-identical to
-        ``CGCast(..., seed=s).run()``. Deferred import: the batch module
-        depends on this one.
-        """
-        from repro.core.cgcast_batch import CGCastBatch
-
-        return CGCastBatch.from_serial(self)
 
 
 def redisseminate(

@@ -152,9 +152,8 @@ class CGCastBatch:
     ) -> "CGCastBatch":
         """A batch runner with a serial protocol's resolved configuration.
 
-        The prototype's seed (and any injected per-trial ``discovery=``
-        result) is irrelevant; its ``environment`` carries over unless
-        an explicit one is given.
+        The prototype's seed is irrelevant; its ``environment`` carries
+        over unless an explicit one is given.
         """
         if environment is None:
             environment = proto.environment
@@ -195,32 +194,17 @@ class CGCastBatch:
         return self._proto.environment
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        seeds: Sequence[int],
-        discoveries: Optional[Sequence[CSeekResult]] = None,
-    ) -> List[CGCastResult]:
+    def run(self, seeds: Sequence[int]) -> List[CGCastResult]:
         """Execute one full CGCAST trial per seed, in lockstep.
 
-        Args:
-            seeds: Per-trial seeds.
-            discoveries: Optional precomputed per-trial CSEEK results to
-                use as phase 1 — must be the executions this batch would
-                run itself (which is what
-                :func:`~repro.core.cseek_batch.batched_discovery`
-                produces for this network/environment).
-
-        Returns:
-            Per-trial :class:`CGCastResult` objects, in seed order, each
-            bit-identical to ``CGCast(..., seed=seeds[b]).run()``. The
-            single-member special case of :func:`run_cgcast_lockstep`.
+        Returns per-trial :class:`CGCastResult` objects, in seed order,
+        each bit-identical to ``CGCast(..., seed=seeds[b]).run()``. The
+        single-member special case of :func:`run_cgcast_lockstep`.
         """
         seeds = [int(s) for s in seeds]
         if not seeds:
             raise ProtocolError("seeds must name at least one trial")
-        return run_cgcast_lockstep(
-            [CGCastMember(self, seeds, discoveries=discoveries)]
-        )[0]
+        return run_cgcast_lockstep([CGCastMember(self, seeds)])[0]
 
     # ------------------------------------------------------------------
     def _discovery_batch(self) -> CSeekBatch:
@@ -256,13 +240,10 @@ class CGCastMember:
         seeds: The point's trial seeds (ragged counts welcome — the
             cross-point trial axis is the concatenation of every
             member's seeds).
-        discoveries: Optional precomputed per-seed discovery results
-            (see :meth:`CGCastBatch.run`).
     """
 
     batch: CGCastBatch
     seeds: Sequence[int]
-    discoveries: Optional[Sequence[CSeekResult]] = None
 
 
 def cgcast_lockstep_signature(batch: CGCastBatch) -> tuple:
@@ -417,33 +398,14 @@ def run_cgcast_lockstep(
     ]
 
     # 1. Discovery ----------------------------------------------------
-    # Members with precomputed results use them; the rest run as one
-    # cross-point CSEEK lockstep (they share the discovery signature by
-    # construction — it is part of the CGCAST signature).
-    discoveries: List[Optional[List[CSeekResult]]] = []
-    for member, seeds in zip(members, seed_lists):
-        if member.discoveries is None:
-            discoveries.append(None)
-            continue
-        provided = list(member.discoveries)
-        if len(provided) != len(seeds):
-            raise ProtocolError(
-                f"need one precomputed discovery per seed "
-                f"({len(seeds)}), got {len(provided)}"
-            )
-        discoveries.append(provided)
-    pending = [j for j, d in enumerate(discoveries) if d is None]
-    if pending:
-        ran = run_cseek_lockstep(
-            [
-                LockstepMember(
-                    members[j].batch._discovery_batch(), seed_lists[j]
-                )
-                for j in pending
-            ]
-        )
-        for j, member_results in zip(pending, ran):
-            discoveries[j] = member_results
+    # One cross-point CSEEK lockstep: members share the discovery
+    # signature by construction (it is part of the CGCAST signature).
+    discoveries = run_cseek_lockstep(
+        [
+            LockstepMember(m.batch._discovery_batch(), seeds)
+            for m, seeds in zip(members, seed_lists)
+        ]
+    )
     flat_discovery: List[CSeekResult] = [
         result for member_results in discoveries for result in member_results
     ]

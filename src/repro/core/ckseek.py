@@ -41,9 +41,7 @@ class CKSeek(CSeek):
             neighbors (``Delta_khat``); when None the paper's fallback
             (``Delta``) is used in the part-two budget.
         knowledge, constants, seed, part2_listener, rng_label,
-        environment, jammer: As in :class:`~repro.core.cseek.CSeek`
-            (``jammer`` is the deprecated alias for a pre-seeded
-            sequential traffic process).
+        environment: As in :class:`~repro.core.cseek.CSeek`.
     """
 
     def __init__(
@@ -56,7 +54,6 @@ class CKSeek(CSeek):
         seed: int = 0,
         part2_listener: str = "weighted",
         rng_label: str = "ckseek",
-        jammer=None,
         environment=None,
     ) -> None:
         kn = knowledge or network.knowledge()
@@ -86,7 +83,6 @@ class CKSeek(CSeek):
             part2_steps=part2,
             part2_listener=part2_listener,  # type: ignore[arg-type]
             rng_label=rng_label,
-            jammer=jammer,
             environment=environment,
         )
         self.khat = khat

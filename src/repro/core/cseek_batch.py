@@ -15,7 +15,8 @@ part-two window a single
 Bit-exactness contract: trial ``b`` draws from its *own* generators
 (``RngHub(seed_b).child(rng_label)``) in exactly the order
 :meth:`CSeek.run` draws them — labels, roles, then engine coins per
-step; per-trial jammers advance their own streams — so
+step — and a spectrum environment opens one batched stream whose slice
+``b`` equals the serial stream of ``seed_b`` — so
 ``CSeekBatch.run(seeds)[b] == CSeek(seed=seeds[b]).run()`` field for
 field. Batching is a pure throughput decision, which is what lets the
 ``jobs="batch"`` executor strategy route whole protocol runs through
@@ -23,9 +24,8 @@ this module without perturbing any experiment table.
 
 The same runner serves CKSEEK (different budgets, same machinery — build
 it from a :class:`~repro.core.ckseek.CKSeek` prototype via
-:meth:`CSeek.batch` / :meth:`CSeekBatch.from_serial`) and CGCAST's
-discovery phase (:func:`batched_discovery` + the ``discovery=``
-injection parameter on :class:`~repro.core.cgcast.CGCast`).
+:meth:`CSeekBatch.from_serial`), CGCAST's discovery phase and its
+simulated exchanges (:mod:`repro.core.cgcast_batch`).
 
 Cross-point batching: :func:`run_cseek_lockstep` is the general form —
 it locksteps trials of *several* :class:`CSeekBatch` members at once
@@ -44,7 +44,7 @@ case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -61,7 +61,6 @@ from repro.core.cseek import (
 from repro.model.errors import ProtocolError
 from repro.model.spec import ModelKnowledge
 from repro.sim.environment import SpectrumEnvironment
-from repro.sim.interference import PrimaryUserTraffic
 from repro.sim.metrics import SlotLedger
 from repro.sim.network import CRNetwork
 from repro.sim.rng import RngHub
@@ -69,48 +68,17 @@ from repro.sim.trace import TraceRecorder, record_step_batch
 
 __all__ = [
     "CSeekBatch",
-    "JammerFactory",
     "LockstepMember",
-    "batched_discovery",
     "lockstep_signature",
     "run_cseek_lockstep",
 ]
-
-JammerFactory = Callable[[int], Optional[PrimaryUserTraffic]]
-
-
-class _PerTrialTraffic:
-    """Batched jam-mask view over independent per-trial jammer objects.
-
-    The legacy ``jammer_factory`` compatibility path: each trial's
-    sequential process advances on its own (a Python loop over trials),
-    presented behind the same ``jam_mask(channels, num_slots)``
-    interface a :class:`~repro.sim.environment.TrafficStream` offers so
-    :meth:`CSeekBatch.run` needs no per-path branching.
-    """
-
-    def __init__(
-        self, jammers: List[Optional[PrimaryUserTraffic]]
-    ) -> None:
-        self._jammers = jammers
-
-    def jam_mask(
-        self, channels: np.ndarray, num_slots: int
-    ) -> np.ndarray:
-        num_trials, n = channels.shape
-        jam = np.zeros((num_trials, num_slots, n), dtype=bool)
-        for b, jammer in enumerate(self._jammers):
-            if jammer is not None:
-                jam[b] = jammer.jam_mask(channels[b], num_slots)
-        return jam
-
 
 class CSeekBatch:
     """Run many homogeneous CSEEK trials in lockstep across the trial axis.
 
     All trials share the network, knowledge, constants, step budgets and
     listener policy; only the per-trial seed (and, through
-    ``jammer_factory``, the per-trial primary-user traffic) varies.
+    ``environment``, the per-trial primary-user traffic) varies.
     Heterogeneous sweeps belong on the serial or process-pool executors.
 
     Args:
@@ -134,10 +102,6 @@ class CSeekBatch:
             — this is what removed the per-trial Markov loop from the
             batched hot path. Per trial, occupancy is bit-identical to
             the serial ``CSeek(..., environment=...)`` execution.
-        jammer_factory: Deprecated per-trial-seed factory for
-            :class:`~repro.sim.interference.PrimaryUserTraffic` (the
-            pre-environment interface; jam masks then fall back to a
-            per-trial loop). Mutually exclusive with ``environment``.
     """
 
     def __init__(
@@ -149,7 +113,6 @@ class CSeekBatch:
         part2_steps: Optional[int] = None,
         part2_listener: ListenerPolicy = "weighted",
         rng_label: str = "cseek",
-        jammer_factory: Optional[JammerFactory] = None,
         environment: Optional[SpectrumEnvironment] = None,
     ) -> None:
         # Delegate validation and budget resolution to the serial
@@ -164,19 +127,12 @@ class CSeekBatch:
             part2_listener=part2_listener,
             rng_label=rng_label,
         )
-        if jammer_factory is not None and environment is not None:
-            raise ProtocolError(
-                "pass either environment= or the deprecated "
-                "jammer_factory= alias, not both"
-            )
-        self.jammer_factory = jammer_factory
         self.environment = environment
 
     @classmethod
     def from_serial(
         cls,
         proto: CSeek,
-        jammer_factory: Optional[JammerFactory] = None,
         environment: Optional[SpectrumEnvironment] = None,
     ) -> "CSeekBatch":
         """A batch runner with a serial protocol's resolved configuration.
@@ -186,11 +142,9 @@ class CSeekBatch:
         the *resolved* step budgets, listener policy and rng namespace
         are copied, so the prototype's seed is irrelevant. The
         prototype's ``environment`` carries over unless an explicit
-        ``environment`` or ``jammer_factory`` is given; its ``jammer``
-        is deliberately not copied — a single pre-seeded jammer
-        instance cannot serve independent trials.
+        ``environment`` is given.
         """
-        if environment is None and jammer_factory is None:
+        if environment is None:
             environment = proto.environment
         return cls(
             proto.network,
@@ -200,7 +154,6 @@ class CSeekBatch:
             part2_steps=proto.part2_step_budget,
             part2_listener=proto.part2_listener,
             rng_label=proto.rng_label,
-            jammer_factory=jammer_factory,
             environment=environment,
         )
 
@@ -235,27 +188,6 @@ class CSeekBatch:
         if not seeds:
             raise ProtocolError("seeds must name at least one trial")
         return run_cseek_lockstep([LockstepMember(self, seeds)])[0]
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _open_traffic(self, seeds: Sequence[int]):
-        """One batched traffic handle for this run, or None when unjammed.
-
-        An environment opens a single batched stream (one jam-mask
-        gather per protocol step, no per-trial loop); a legacy
-        jammer factory falls back to per-trial sequential processes
-        wrapped behind the same ``jam_mask`` interface. Either way,
-        trial ``b`` consumes occupancy exactly as its serial
-        counterpart would.
-        """
-        if self.environment is not None:
-            return self.environment.streams(seeds)
-        if self.jammer_factory is not None:
-            jammers = [self.jammer_factory(s) for s in seeds]
-            if any(j is not None for j in jammers):
-                return _PerTrialTraffic(jammers)
-        return None
 
 
 @dataclass
@@ -377,8 +309,12 @@ def run_cseek_lockstep(
         for seeds in seed_lists
         for s in seeds
     ]
+    # One batched stream per jammed member: a single jam-mask gather
+    # per protocol step, no per-trial loop.
     traffics = [
-        m.batch._open_traffic(seeds)
+        m.batch.environment.streams(seeds)
+        if m.batch.environment is not None
+        else None
         for m, seeds in zip(members, seed_lists)
     ]
 
@@ -511,31 +447,3 @@ def run_cseek_lockstep(
             )
         results.append(member_results)
     return results
-
-
-def batched_discovery(
-    network: CRNetwork,
-    seeds: Sequence[int],
-    knowledge: Optional[ModelKnowledge] = None,
-    constants: Optional[ProtocolConstants] = None,
-    environment: Optional[SpectrumEnvironment] = None,
-) -> List[CSeekResult]:
-    """Batch CGCAST's discovery phase across trial seeds.
-
-    Returns one :class:`CSeekResult` per seed, bit-identical to the
-    CSEEK execution :meth:`repro.core.cgcast.CGCast.run` performs
-    internally for that seed (``environment`` must match the CGCAST
-    instance's) — hand result ``b`` to
-    ``CGCast(..., seed=seeds[b], discovery=results[b])`` and the rest of
-    the pipeline proceeds unchanged. This is how E6-style sweeps ride
-    the trial axis through their most expensive phase without batching
-    the (heterogeneous) exchange/coloring stages.
-    """
-    batch = CSeekBatch(
-        network,
-        knowledge=knowledge,
-        constants=constants,
-        rng_label="cgcast.discovery",
-        environment=environment,
-    )
-    return batch.run(seeds)

@@ -1,15 +1,19 @@
-"""Cross-point batch groups: lockstep execution across sweep points.
+"""Batch descriptors: one sweep point's trials on the lockstep runners.
 
-:class:`~repro.core.cseek_batch.CSeekBatch` locksteps the trials of one
-sweep point; a sweep grid still drains point by point, paying the
-per-step Python and dispatch overhead once per point. This module is
-the grouping layer on top of :func:`~repro.core.cseek_batch.
-run_cseek_lockstep`: trial factories (:mod:`repro.scenarios.trials`)
-attach an :class:`XBatchable` describing how their point can join a
-cross-point group, points whose :meth:`XBatchable.signature` match are
-concatenated along one trial axis, and :func:`run_group` executes the
-whole group as a single lockstep run — one engine call per protocol
-step for *every* compatible point of the scenario.
+Trial factories (:mod:`repro.scenarios.trials`) attach an
+:class:`XBatchable` to their trial callable as ``trial.xbatch``. The
+descriptor carries everything its kind's lockstep runner needs
+(protocol configuration, environment, postprocess) and is the one
+batch path of the harness:
+
+* :meth:`XBatchable.run` executes one point's seeds as a one-member
+  group — what the ``jobs="batch"`` executor
+  (:class:`~repro.harness.executor.BatchedExecutor`) calls;
+* :func:`run_group` concatenates the trials of every point whose
+  :meth:`XBatchable.signature` matches along one trial axis and runs
+  the whole group as a single lockstep execution — one engine call per
+  protocol step for *every* compatible point of the scenario
+  (``jobs="xbatch"`` and the cross-point streaming path).
 
 Three member kinds exist:
 
@@ -34,8 +38,8 @@ Three member kinds exist:
 The trial axis is the concatenation of every member's seeds: ragged
 per-point trial counts need no padding, and each trial's generator
 draws are its own, so per-trial results are bit-identical to the
-per-point ``run_batch`` path — grouping, like batching, is a pure
-throughput decision.
+serial closure and to any grouping — batching, like grouping, is a
+pure throughput decision.
 """
 
 from __future__ import annotations
@@ -57,7 +61,6 @@ from repro.core.count import count_schedule, run_count_step_batch
 from repro.core.cseek import CSeek
 from repro.core.cseek_batch import (
     CSeekBatch,
-    JammerFactory,
     LockstepMember,
     lockstep_signature,
     run_cseek_lockstep,
@@ -75,14 +78,15 @@ __all__ = [
 
 
 class XBatchable:
-    """How one sweep point joins a cross-point lockstep group.
+    """How one sweep point's trials run on its kind's lockstep runner.
 
-    Subclasses carry everything their group runner needs (protocol
-    configuration, environment, postprocess) plus a :meth:`signature`
-    naming the compatibility class: points whose signatures compare
-    equal may run as one group; any difference splits them into
-    separate groups (never an error — grouping degrades to per-point
-    batching at worst).
+    Subclasses carry everything their runner needs (protocol
+    configuration, environment, postprocess), implement
+    :meth:`run_members` (the kind's group runner) and a
+    :meth:`signature` naming the compatibility class: points whose
+    signatures compare equal may run as one group; any difference
+    splits them into separate groups (never an error — grouping
+    degrades to one-member groups at worst).
     """
 
     kind: ClassVar[str] = ""
@@ -90,18 +94,40 @@ class XBatchable:
     def signature(self) -> tuple:
         raise NotImplementedError
 
+    @classmethod
+    def run_members(
+        cls, xs: Sequence["XBatchable"], seed_lists: Sequence[List[int]]
+    ) -> List[List[object]]:
+        """Run compatible members in one lockstep execution.
+
+        Returns per-member postprocessed outcomes, in member order and
+        per-member seed order.
+        """
+        raise NotImplementedError
+
+    def run(self, seeds: Sequence[int]) -> List[object]:
+        """This point's outcomes for ``seeds``: a one-member group."""
+        return self.run_members([self], [[int(s) for s in seeds]])[0]
+
+
+def _postprocessed(xs, raw) -> List[List[object]]:
+    """Each member's raw protocol results through its postprocess."""
+    return [
+        [x.postprocess(result) for result in member_results]
+        for x, member_results in zip(xs, raw)
+    ]
+
 
 @dataclass
 class CSeekXBatch(XBatchable):
-    """Cross-point descriptor for CSEEK/CKSEEK trial factories.
+    """Descriptor for CSEEK/CKSEEK trial factories.
 
-    The :class:`CSeekBatch` is built lazily (first signature probe) so
-    factories that never meet an xbatch executor pay nothing.
+    The :class:`CSeekBatch` is built lazily (first signature probe or
+    run) so factories that never meet a batch executor pay nothing.
     """
 
     make_protocol: Callable[[int], CSeek]
     postprocess: Callable[..., object]
-    jammer_factory: Optional[JammerFactory] = None
     environment: Optional[SpectrumEnvironment] = None
     _batch: Optional[CSeekBatch] = field(
         default=None, repr=False, compare=False
@@ -113,26 +139,34 @@ class CSeekXBatch(XBatchable):
     def batch(self) -> CSeekBatch:
         if self._batch is None:
             self._batch = CSeekBatch.from_serial(
-                self.make_protocol(0),
-                jammer_factory=self.jammer_factory,
-                environment=self.environment,
+                self.make_protocol(0), environment=self.environment
             )
         return self._batch
 
     def signature(self) -> tuple:
         return (self.kind, lockstep_signature(self.batch))
 
+    @classmethod
+    def run_members(cls, xs, seed_lists):
+        raw = run_cseek_lockstep(
+            [
+                LockstepMember(x.batch, seeds)
+                for x, seeds in zip(xs, seed_lists)
+            ]
+        )
+        return _postprocessed(xs, raw)
+
 
 @dataclass
 class CGCastXBatch(XBatchable):
-    """Cross-point descriptor for full-pipeline CGCAST trial factories.
+    """Descriptor for full-pipeline CGCAST trial factories.
 
-    ``make_protocol(seed, discovery=None)`` is the factory the serial
-    path uses; the batch is built lazily from its seed-0 instance, so
-    factories that never meet an xbatch executor pay nothing.
+    ``make_protocol(seed)`` is the factory the serial path uses; the
+    batch is built lazily from its seed-0 instance, so factories that
+    never meet a batch executor pay nothing.
     """
 
-    make_protocol: Callable[..., CGCast]
+    make_protocol: Callable[[int], CGCast]
     postprocess: Callable[..., object]
     environment: Optional[SpectrumEnvironment] = None
     _batch: Optional[CGCastBatch] = field(
@@ -152,10 +186,20 @@ class CGCastXBatch(XBatchable):
     def signature(self) -> tuple:
         return (self.kind, cgcast_lockstep_signature(self.batch))
 
+    @classmethod
+    def run_members(cls, xs, seed_lists):
+        raw = run_cgcast_lockstep(
+            [
+                CGCastMember(x.batch, seeds)
+                for x, seeds in zip(xs, seed_lists)
+            ]
+        )
+        return _postprocessed(xs, raw)
+
 
 @dataclass
 class CountXBatch(XBatchable):
-    """Cross-point descriptor for single-COUNT-step trial factories."""
+    """Descriptor for single-COUNT-step trial factories."""
 
     adj: np.ndarray
     channels: np.ndarray
@@ -164,7 +208,6 @@ class CountXBatch(XBatchable):
     log_n: int
     constants: ProtocolConstants
     postprocess: Callable[[np.ndarray], object]
-    jammer_factory: Optional[Callable[[int], object]] = None
     environment: Optional[SpectrumEnvironment] = None
 
     kind: ClassVar[str] = "count"
@@ -184,102 +227,53 @@ class CountXBatch(XBatchable):
             self.constants,
         )
 
-
-def _run_cseek_group(
-    xs: Sequence[CSeekXBatch], seed_lists: Sequence[List[int]]
-) -> List[List[object]]:
-    raw = run_cseek_lockstep(
-        [
-            LockstepMember(x.batch, seeds)
-            for x, seeds in zip(xs, seed_lists)
-        ]
-    )
-    return [
-        [x.postprocess(result) for result in member_results]
-        for x, member_results in zip(xs, raw)
-    ]
-
-
-def _run_count_group(
-    xs: Sequence[CountXBatch], seed_lists: Sequence[List[int]]
-) -> List[List[object]]:
-    x0 = xs[0]
-    rounds, round_length = count_schedule(
-        x0.max_count, x0.log_n, x0.constants
-    )
-    total_slots = rounds * round_length
-    n = x0.adj.shape[0]
-    per_member = [len(seeds) for seeds in seed_lists]
-    num_trials = sum(per_member)
-    offsets = np.concatenate([[0], np.cumsum(per_member)])
-    jam = None
-    if any(
-        x.environment is not None or x.jammer_factory is not None
-        for x in xs
-    ):
-        # Unjammed members contribute zeros — engine-equivalent to the
-        # no-jam path, so mixed groups stay bit-identical per member.
-        jam = np.zeros((num_trials, total_slots, n), dtype=bool)
-        for j, (x, seeds) in enumerate(zip(xs, seed_lists)):
-            sl = slice(int(offsets[j]), int(offsets[j + 1]))
-            if x.environment is not None:
-                jam[sl] = x.environment.streams(seeds).jam_mask(
-                    x.channels, total_slots
-                )
-            elif x.jammer_factory is not None:
-                jam[sl] = np.stack(
-                    [
-                        x.jammer_factory(s).jam_mask(
+    @classmethod
+    def run_members(cls, xs, seed_lists):
+        x0 = xs[0]
+        rounds, round_length = count_schedule(
+            x0.max_count, x0.log_n, x0.constants
+        )
+        total_slots = rounds * round_length
+        n = x0.adj.shape[0]
+        per_member = [len(seeds) for seeds in seed_lists]
+        num_trials = sum(per_member)
+        offsets = np.concatenate([[0], np.cumsum(per_member)])
+        jam = None
+        if any(x.environment is not None for x in xs):
+            # Unjammed members contribute zeros — engine-equivalent to
+            # the no-jam path, so mixed groups stay bit-identical per
+            # member.
+            jam = np.zeros((num_trials, total_slots, n), dtype=bool)
+            for j, (x, seeds) in enumerate(zip(xs, seed_lists)):
+                if x.environment is not None:
+                    jam[int(offsets[j]) : int(offsets[j + 1])] = (
+                        x.environment.streams(seeds).jam_mask(
                             x.channels, total_slots
                         )
-                        for s in seeds
-                    ]
-                )
-    out = run_count_step_batch(
-        x0.adj,
-        x0.channels,
-        x0.tx_role,
-        max_count=x0.max_count,
-        log_n=x0.log_n,
-        constants=x0.constants,
-        rngs=[
-            np.random.default_rng(s)
-            for seeds in seed_lists
-            for s in seeds
-        ],
-        jam=jam,
-    )
-    return [
-        [
-            x.postprocess(row)
-            for row in out.estimates[
-                int(offsets[j]) : int(offsets[j + 1])
+                    )
+        out = run_count_step_batch(
+            x0.adj,
+            x0.channels,
+            x0.tx_role,
+            max_count=x0.max_count,
+            log_n=x0.log_n,
+            constants=x0.constants,
+            rngs=[
+                np.random.default_rng(s)
+                for seeds in seed_lists
+                for s in seeds
+            ],
+            jam=jam,
+        )
+        return [
+            [
+                x.postprocess(row)
+                for row in out.estimates[
+                    int(offsets[j]) : int(offsets[j + 1])
+                ]
             ]
+            for j, x in enumerate(xs)
         ]
-        for j, x in enumerate(xs)
-    ]
-
-
-def _run_cgcast_group(
-    xs: Sequence[CGCastXBatch], seed_lists: Sequence[List[int]]
-) -> List[List[object]]:
-    raw = run_cgcast_lockstep(
-        [
-            CGCastMember(x.batch, seeds)
-            for x, seeds in zip(xs, seed_lists)
-        ]
-    )
-    return [
-        [x.postprocess(result) for result in member_results]
-        for x, member_results in zip(xs, raw)
-    ]
-
-
-_RUNNERS = {
-    "cseek": _run_cseek_group,
-    "cgcast": _run_cgcast_group,
-    "count": _run_count_group,
-}
 
 
 def run_group(
@@ -315,7 +309,7 @@ def run_group(
             "cross-point group members must share one kind; got "
             f"{sorted({x.kind for x in xs})}"
         )
-    runner = _RUNNERS[kind]
+    runner = type(xs[0]).run_members
     seed_lists = [[int(s) for s in seeds] for seeds in seed_lists]
     total = sum(len(seeds) for seeds in seed_lists)
     cap = batch_size if batch_size else total

@@ -11,17 +11,20 @@ vectorized batch. The strategies:
 :class:`SerialExecutor`
     The reference strategy: an in-process loop, one trial at a time.
 :class:`ParallelExecutor`
-    Fans trial chunks out to a fork-based process pool. Fork start is
+    Fans trial chunks out to a fork-based
+    :class:`~concurrent.futures.ProcessPoolExecutor`. Fork start is
     required because experiment trials are closures over network objects;
     forked workers inherit them without pickling, and only seeds and
-    results cross process boundaries. Falls back to serial where fork is
-    unavailable (non-POSIX platforms).
+    results cross process boundaries. A worker that dies (a signal, the
+    OS out-of-memory killer, a crashed extension) breaks the pool, which
+    surfaces as a :class:`~repro.model.errors.HarnessError` naming the
+    seeds that were in flight — never a hang. Falls back to serial where
+    fork is unavailable (non-POSIX platforms).
 :class:`BatchedExecutor`
-    Runs the whole trial axis as one vectorized call when the trial
-    callable advertises one (a ``run_batch`` attribute taking the seed
-    list — see :func:`repro.sim.engine.resolve_step_batch` and
-    :func:`repro.core.count.run_count_step_batch` for the sim-layer
-    primitives this rides on); falls back to serial otherwise.
+    Runs the whole trial axis through the trial's batch descriptor (an
+    ``xbatch`` attribute, :class:`repro.core.xbatch.XBatchable`: one
+    lockstep execution of the protocol over the seed list); falls back
+    to serial for trials without one.
 :class:`XBatchExecutor`
     The cross-point strategy (``jobs="xbatch"``): per run it behaves
     exactly like :class:`BatchedExecutor`, but scenario-level drivers
@@ -129,21 +132,24 @@ class SerialExecutor:
 # ----------------------------------------------------------------------
 # Process-parallel execution
 # ----------------------------------------------------------------------
-# Worker-side state: the trial closure, inherited through fork at pool
-# creation (closures over network objects are not picklable, so it can
-# not travel through the task queue).
+# Worker-side state, inherited through fork at pool creation: the trial
+# closure (closures over network objects are not picklable, so it can
+# not travel through the task queue) and the shared per-chunk start
+# flags the parent reads when a worker dies.
 _worker_trial: Callable[[int], object] | None = None
+_worker_started = None
 
 
-def _worker_init(trial: Callable[[int], object]) -> None:
-    global _worker_trial
+def _worker_init(trial: Callable[[int], object], started) -> None:
+    global _worker_trial, _worker_started
     _worker_trial = trial
+    _worker_started = started
 
 
 def _worker_chunk(
-    seeds: List[int],
+    index: int, seeds: List[int]
 ) -> Tuple[List[tuple], Optional[dict]]:
-    """Run a chunk of seeds in a pool worker.
+    """Run chunk ``index`` of the seeds in a pool worker.
 
     Returns per-seed ``(ok, payload)`` pairs plus the chunk's telemetry
     snapshot (None while telemetry is off). Workers inherit the
@@ -151,6 +157,7 @@ def _worker_chunk(
     recorder, and the parent merges the shipped snapshots — integer
     aggregates, so pool completion order cannot change the totals.
     """
+    _worker_started[index] = 1
     tel = obs.start() if obs.enabled() else None
     start_ns = time.perf_counter_ns()
     results = []
@@ -174,6 +181,13 @@ def _worker_chunk(
 
 class ParallelExecutor:
     """Chunked fan-out over a fork-based process pool (``jobs>=2``).
+
+    Chunks complete in any order but are consumed in seed order, so a
+    failing trial surfaces at its chunk and the results list keeps
+    seed order. A worker that dies mid-chunk breaks the pool; the run
+    then raises :class:`~repro.model.errors.HarnessError` naming the
+    seeds of every chunk that had started but not returned (the dead
+    worker's chunk among them).
 
     Args:
         jobs: Worker process count; ``0`` means one per CPU.
@@ -202,6 +216,10 @@ class ParallelExecutor:
             ctx = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover — non-POSIX fallback
             return SerialExecutor().run(trial, seeds)
+        # Imported on use: only pool runs pay for the pool machinery.
+        from concurrent.futures import ProcessPoolExecutor, wait
+        from concurrent.futures.process import BrokenProcessPool
+
         jobs = min(self.jobs, len(seeds))
         chunk = self.chunk_size or max(
             1, math.ceil(len(seeds) / (jobs * 4))
@@ -211,13 +229,37 @@ class ParallelExecutor:
         ]
         obs.count("executor.trials", len(seeds))
         collector = obs.active()
+        started = ctx.RawArray("b", len(chunks))
         results: List[T] = []
-        with ctx.Pool(
-            jobs, initializer=_worker_init, initargs=(trial,)
-        ) as pool:
-            # imap preserves chunk order and surfaces a failed chunk as
-            # soon as it completes, instead of after the whole sweep.
-            for part, snapshot in pool.imap(_worker_chunk, chunks):
+        pool = ProcessPoolExecutor(
+            max_workers=jobs,
+            mp_context=ctx,
+            initializer=_worker_init,
+            initargs=(trial, started),
+        )
+        try:
+            futures = [
+                pool.submit(_worker_chunk, i, part)
+                for i, part in enumerate(chunks)
+            ]
+            for future in futures:
+                try:
+                    part, snapshot = future.result()
+                except BrokenProcessPool:
+                    # Every unfinished future fails with the pool; wait
+                    # until all are settled before reading the flags.
+                    wait(futures)
+                    lost = [
+                        chunks[i]
+                        for i, f in enumerate(futures)
+                        if started[i]
+                        and isinstance(f.exception(), BrokenProcessPool)
+                    ]
+                    raise HarnessError(
+                        "a pool worker died (killed by a signal or the "
+                        "OS) while these trial chunks were in flight: "
+                        + (", ".join(f"seeds={c}" for c in lost) or "none")
+                    ) from None
                 if collector is not None:
                     collector.merge_snapshot(snapshot)
                 for ok, payload in part:
@@ -227,23 +269,25 @@ class ParallelExecutor:
                             f"trial failed (seed={seed}): {detail}"
                         )
                     results.append(payload)
+        finally:
+            pool.shutdown(cancel_futures=True)
         return results
 
 
 class BatchedExecutor:
     """Vectorized trial-axis execution (``jobs='batch'``).
 
-    A trial callable opts in by carrying a ``run_batch`` attribute —
-    ``run_batch(seeds) -> list of per-seed results`` — implemented on
-    the sim layer's batched resolvers (micro-trials like a single COUNT
-    step) or on the protocol layer's trial-batched runner
-    (:class:`repro.core.cseek_batch.CSeekBatch`, which carries whole
-    CSEEK/CKSEEK executions through the batch). Trials without one fall
-    back to the serial reference strategy, so a batched executor is
-    always safe to pass to heterogeneous experiments.
+    A trial callable opts in by carrying an ``xbatch`` descriptor
+    (:class:`repro.core.xbatch.XBatchable`, built by the factories in
+    :mod:`repro.scenarios.trials`); each chunk of seeds runs as one
+    :meth:`~repro.core.xbatch.XBatchable.run` call — a one-member
+    lockstep group of the protocol's batch runner. Trials without a
+    descriptor fall back to the serial reference strategy, so a
+    batched executor is always safe to pass to heterogeneous
+    experiments.
 
     Args:
-        batch_size: Maximum seeds per ``run_batch`` call; ``None`` runs
+        batch_size: Maximum seeds per descriptor call; ``None`` runs
             the whole trial axis in one batch. Batched engine state is
             ``O(B * T * n)``, so a bound keeps huge sweeps
             memory-resident (``jobs="batch:64"`` on the CLI). Per-trial
@@ -262,8 +306,8 @@ class BatchedExecutor:
         self, trial: Callable[[int], T], seeds: Sequence[int]
     ) -> List[T]:
         seeds = list(seeds)
-        run_batch = getattr(trial, "run_batch", None)
-        if run_batch is None:
+        xbatch = getattr(trial, "xbatch", None)
+        if xbatch is None:
             return SerialExecutor().run(trial, seeds)
         obs.count("executor.trials", len(seeds))
         size = self.batch_size or max(1, len(seeds))
@@ -272,7 +316,7 @@ class BatchedExecutor:
             chunk = seeds[i : i + size]
             obs.count("executor.batches")
             try:
-                part = list(run_batch(chunk))
+                part = list(xbatch.run(chunk))
             except HarnessError:
                 raise
             except Exception as exc:  # noqa: BLE001 — seed context
@@ -319,9 +363,8 @@ class StreamingExecutor:
 
     Splits the trial axis into chunks of at most ``chunk_size`` seeds
     and delegates each chunk to an inner strategy — the vectorized
-    batch by default, so protocol trials still ride
-    :class:`repro.core.cseek_batch.CSeekBatch` /
-    :func:`repro.core.count.run_count_step_batch` within a chunk.
+    batch by default, so protocol trials still ride their ``xbatch``
+    descriptors within a chunk.
     Resident simulation state is bounded by the chunk, not the trial
     count, which is what lets a million-trial axis run under a fixed
     memory cap.

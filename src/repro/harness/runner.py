@@ -122,9 +122,10 @@ def run_trials(
     """Run ``trial`` with ``trials`` independent derived seeds.
 
     Args:
-        trial: Callable taking a trial seed. A ``run_batch`` attribute
-            (``run_batch(seeds) -> results``) opts the trial into
-            vectorized execution under a batched executor.
+        trial: Callable taking a trial seed. An ``xbatch`` attribute
+            (a :class:`~repro.core.xbatch.XBatchable` descriptor) opts
+            the trial into vectorized execution under a batched
+            executor.
         trials: Number of repetitions (``>= 1``).
         seed: Master seed; per-trial seeds derive deterministically.
         label: Seed-stream label (vary to decorrelate phases).
@@ -167,7 +168,7 @@ def stream_trials(
     regardless of chunk size.
 
     Args:
-        trial: Callable taking a trial seed (``run_batch`` opt-in as in
+        trial: Callable taking a trial seed (``xbatch`` opt-in as in
             :func:`run_trials`; chunks ride the vectorized batch by
             default).
         seed: Master seed; per-trial seeds derive deterministically.

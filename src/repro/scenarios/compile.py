@@ -14,8 +14,8 @@ Declarative specs are lowered here too: the topology and assignment
 specs build the network, the interference spec becomes a spectrum
 environment (:mod:`repro.sim.environment` — Markov, Poisson or static
 primary-user traffic), the protocol spec picks a trial factory from
-:mod:`repro.scenarios.trials` (the single home of ``run_batch``
-generation), and a stock reducer computes the protocol family's metric
+:mod:`repro.scenarios.trials` (each with its batch descriptor), and
+a stock reducer computes the protocol family's metric
 columns. Plan-based specs (the paper experiments) skip the lowering and
 supply Points directly.
 """
@@ -74,7 +74,8 @@ class Run:
 
     Attributes:
         key: Name under which the outcome list reaches the reducer.
-        trial: The trial callable (with ``run_batch`` when batchable).
+        trial: The trial callable (with an ``xbatch`` descriptor when
+            batchable).
         label: Seed-stream label (decorrelates runs sharing a seed).
         seed: Master seed for this run's trial-seed derivation.
         trials: Optional trial-count override (default: the context's).
@@ -521,12 +522,10 @@ def _lower_point(
     if kind == "cgcast":
         source = int(proto_params.pop("source", 0))
 
-        def make_cgcast(
-            s, discovery=None, net=net, source=source, env=environment
-        ):
+        def make_cgcast(s, net=net, source=source, env=environment):
             return CGCast(
-                net, source=source, seed=s, discovery=discovery,
-                environment=env, **proto_params,
+                net, source=source, seed=s, environment=env,
+                **proto_params,
             )
 
         def cg_outcome(result):

@@ -18,7 +18,8 @@ wrappers over these specs.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List
+from dataclasses import dataclass
+from typing import ClassVar, Dict, Iterable, List
 
 import numpy as np
 
@@ -53,6 +54,7 @@ from repro.core import (
     is_valid_edge_coloring,
     redisseminate,
     redisseminate_batch,
+    XBatchable,
     verify_discovery,
     verify_k_discovery,
 )
@@ -80,7 +82,7 @@ from repro.scenarios.trials import (
     count_trial,
     cseek_trial,
 )
-from repro.sim import MarkovTraffic
+from repro.sim import CRNetwork, MarkovTraffic
 
 __all__ = ["PAPER_SPECS", "paper_spec"]
 
@@ -523,9 +525,7 @@ def _plan_e6(ctx: RunContext) -> Iterable[Point]:
         kn = net.knowledge()
 
         cg = cgcast_trial(
-            lambda s, discovery=None, net=net: CGCast(
-                net, source=0, seed=s, discovery=discovery
-            ),
+            lambda s, net=net: CGCast(net, source=0, seed=s),
             lambda result: (
                 result.success,
                 result.ledger.get("dissemination"),
@@ -773,9 +773,7 @@ def _plan_e9(ctx: RunContext) -> Iterable[Point]:
         greedy = broadcast_floor(net, source=0)
 
         cg = cgcast_trial(
-            lambda s, discovery=None, net=net: CGCast(
-                net, source=0, seed=s, discovery=discovery
-            ),
+            lambda s, net=net: CGCast(net, source=0, seed=s),
             lambda result: (
                 result.success,
                 result.ledger.get("dissemination"),
@@ -915,6 +913,70 @@ def _plan_e10(ctx: RunContext) -> Iterable[Point]:
         )
 
 
+@dataclass
+class _AmortizedXBatch(XBatchable):
+    """E11's batch descriptor: the whole amortized regime in lockstep.
+
+    One :class:`~repro.core.cgcast_batch.CGCastBatch` run builds every
+    trial's reusable schedule, then each message's re-dissemination
+    sweeps the surviving trials through :func:`redisseminate_batch`.
+    Per trial all generator draws are those of the serial E11 closure
+    (``NaiveBroadcast`` runs are independent per seed), so outcomes are
+    bit-identical to it.
+    """
+
+    net: CRNetwork
+    num_messages: int
+
+    kind: ClassVar[str] = "e11"
+
+    def signature(self) -> tuple:
+        # Plan-based specs never group, so uniqueness is all it needs.
+        return (self.kind, id(self))
+
+    @classmethod
+    def run_members(cls, xs, seed_lists):
+        return [x._run(seeds) for x, seeds in zip(xs, seed_lists)]
+
+    def _run(self, seeds: List[int]) -> list:
+        net = self.net
+        setups = CGCastBatch(net, source=0).run(seeds)
+        state = {}
+        for b, setup in enumerate(setups):
+            if setup.success:
+                diss0 = setup.ledger.get("dissemination")
+                state[b] = (setup.total_slots - diss0, [diss0], [])
+        for msg in range(1, self.num_messages):
+            alive = sorted(state)
+            if not alive:
+                break
+            source = (msg * 7) % net.n
+            disses = redisseminate_batch(
+                net,
+                [setups[b] for b in alive],
+                source,
+                [seeds[b] + msg for b in alive],
+            )
+            for b, diss in zip(alive, disses):
+                if not diss.success:
+                    del state[b]
+                    continue
+                state[b][1].append(diss.ledger.total)
+                nv = NaiveBroadcast(
+                    net, source=source, seed=seeds[b] + 100 + msg
+                ).run()
+                if not nv.success:
+                    del state[b]
+                    continue
+                state[b][2].append(nv.completion_slot)
+        outcomes = [None] * len(seeds)
+        for b, (setup_slots, per_message, naive_pm) in state.items():
+            nv0 = NaiveBroadcast(net, source=0, seed=seeds[b] + 500).run()
+            naive_pm.insert(0, nv0.completion_slot)
+            outcomes[b] = (setup_slots, per_message, naive_pm)
+        return outcomes
+
+
 # ----------------------------------------------------------------------
 # E11 — amortized repeated broadcast (extension; Theorem 9's regime)
 # ----------------------------------------------------------------------
@@ -950,51 +1012,7 @@ def _plan_e11(ctx: RunContext) -> Iterable[Point]:
         naive_per_message.insert(0, nv0.completion_slot)
         return setup_slots, per_message, naive_per_message
 
-    def run_batch(seeds):
-        # The whole amortized regime in lockstep: one CGCastBatch run
-        # builds every trial's reusable schedule, then each message's
-        # re-dissemination sweeps the surviving trials through
-        # redisseminate_batch. Per trial all generator draws are those
-        # of the serial closure above (NaiveBroadcast runs are
-        # independent per seed), so outcomes are bit-identical.
-        seeds = [int(s) for s in seeds]
-        setups = CGCastBatch(net, source=0).run(seeds)
-        state = {}
-        for b, setup in enumerate(setups):
-            if setup.success:
-                diss0 = setup.ledger.get("dissemination")
-                state[b] = (setup.total_slots - diss0, [diss0], [])
-        for msg in range(1, num_messages):
-            alive = sorted(state)
-            if not alive:
-                break
-            source = (msg * 7) % net.n
-            disses = redisseminate_batch(
-                net,
-                [setups[b] for b in alive],
-                source,
-                [seeds[b] + msg for b in alive],
-            )
-            for b, diss in zip(alive, disses):
-                if not diss.success:
-                    del state[b]
-                    continue
-                state[b][1].append(diss.ledger.total)
-                nv = NaiveBroadcast(
-                    net, source=source, seed=seeds[b] + 100 + msg
-                ).run()
-                if not nv.success:
-                    del state[b]
-                    continue
-                state[b][2].append(nv.completion_slot)
-        outcomes = [None] * len(seeds)
-        for b, (setup_slots, per_message, naive_pm) in state.items():
-            nv0 = NaiveBroadcast(net, source=0, seed=seeds[b] + 500).run()
-            naive_pm.insert(0, nv0.completion_slot)
-            outcomes[b] = (setup_slots, per_message, naive_pm)
-        return outcomes
-
-    trial.run_batch = run_batch
+    trial.xbatch = _AmortizedXBatch(net, num_messages)
 
     def reduce(ctx, outcomes):
         ok = [o for o in outcomes["amortized"] if o]
@@ -1084,9 +1102,8 @@ def _plan_e12(ctx: RunContext) -> Iterable[Point]:
         cases.append(("short bursts (dwell 4)", activity, 4.0))
         cases.append(("long bursts (dwell 500)", activity, 500.0))
     for name, activity, dwell in cases:
-        # Stream seeds are trial_seed + 1000, exactly as the
-        # pre-environment jammer factory seeded its per-trial
-        # PrimaryUserTraffic — the golden E12 rows depend on it.
+        # Stream seeds are trial_seed + 1000, the seeding the golden
+        # E12 rows were recorded with.
         environment = (
             MarkovTraffic(
                 all_channels,

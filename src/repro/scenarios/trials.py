@@ -1,40 +1,38 @@
-"""Trial-closure factories — the one place ``run_batch`` is generated.
+"""Trial-closure factories: a serial closure plus its batch descriptor.
 
 Every experiment ultimately hands :func:`repro.harness.runner.run_trials`
-a callable of one trial seed. To ride the vectorized
-:class:`~repro.harness.executor.BatchedExecutor`, that callable must
-also carry a ``run_batch(seeds)`` attribute routing the whole seed list
-through the sim layer's batched primitives. The harness used to
-hand-roll that pairing per experiment; these factories build it once
-per protocol family, with the serial path as the reference semantics
-the batched path must reproduce bit-for-bit:
+a callable of one trial seed. These factories build that callable once
+per protocol family, with the serial path as the reference semantics,
+and attach an :class:`~repro.core.xbatch.XBatchable` descriptor as its
+``xbatch`` attribute. The descriptor is the one batch path: the
+``jobs="batch"`` executor runs a point's seeds through
+:meth:`~repro.core.xbatch.XBatchable.run`, and ``jobs="xbatch"`` groups
+points with matching signatures (:func:`repro.core.xbatch.run_group`).
+Either way each trial is bit-identical to the serial closure:
 
-* :func:`cseek_trial` — full CSEEK/CKSEEK executions, batched through
-  :class:`repro.core.cseek_batch.CSeekBatch`.
-* :func:`cgcast_trial` — full CGCAST executions, batched end-to-end
-  through :class:`repro.core.cgcast_batch.CGCastBatch`.
-* :func:`count_trial` — single COUNT steps, batched through
-  :func:`repro.core.count.run_count_step_batch`.
+* :func:`cseek_trial` — full CSEEK/CKSEEK executions
+  (:class:`~repro.core.xbatch.CSeekXBatch`);
+* :func:`cgcast_trial` — full CGCAST executions
+  (:class:`~repro.core.xbatch.CGCastXBatch`);
+* :func:`count_trial` — single COUNT steps
+  (:class:`~repro.core.xbatch.CountXBatch`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from repro.core import (
     CGCast,
-    CGCastBatch,
     CGCastXBatch,
     CSeek,
-    CSeekBatch,
     CSeekXBatch,
     CountXBatch,
     ProtocolConstants,
     count_schedule,
     run_count_step,
-    run_count_step_batch,
 )
 
 __all__ = [
@@ -48,82 +46,53 @@ __all__ = [
 def cseek_trial(
     make_protocol: Callable[[int], CSeek],
     postprocess: Callable[..., object],
-    jammer_factory: Callable[[int], object] | None = None,
     environment=None,
 ) -> Callable[[int], object]:
-    """A full-protocol CSEEK/CKSEEK trial with a vectorized trial axis.
+    """A full-protocol CSEEK/CKSEEK trial with a batch descriptor.
 
-    The serial path constructs and runs one protocol per seed (the
-    reference semantics every executor must reproduce). The ``run_batch``
-    attribute — picked up by the ``jobs="batch"`` executor — routes the
-    whole seed list through :class:`repro.core.cseek_batch.CSeekBatch`
-    instead, so each part-one step and part-two window of *all* trials
-    resolves as one batched engine call; per-trial results are
-    bit-identical to the serial path. ``make_protocol`` must be
-    homogeneous in the seed (same network/budgets/policy every call).
-    Primary-user traffic comes from ``environment`` (a
-    :class:`~repro.sim.environment.SpectrumEnvironment`, jammed in one
-    batched gather per step) or the deprecated per-trial
-    ``jammer_factory``.
+    The closure constructs and runs one protocol per seed. Its
+    descriptor runs whole seed lists through
+    :class:`repro.core.cseek_batch.CSeekBatch`, so each part-one step
+    and part-two window of *all* trials resolves as one batched engine
+    call. ``make_protocol`` must be homogeneous in the seed (same
+    network/budgets/policy every call). Primary-user traffic comes from
+    ``environment`` (a :class:`~repro.sim.environment.SpectrumEnvironment`,
+    jammed in one batched gather per step).
     """
 
     def trial(s: int):
         proto = make_protocol(s)
-        if jammer_factory is not None:
-            proto.jammer = jammer_factory(s)
-        elif environment is not None:
+        if environment is not None:
             proto.environment = environment
         return postprocess(proto.run())
 
-    def run_batch(seeds):
-        batch = CSeekBatch.from_serial(
-            make_protocol(0),
-            jammer_factory=jammer_factory,
-            environment=environment,
-        )
-        return [postprocess(r) for r in batch.run(seeds)]
-
-    trial.run_batch = run_batch
-    # Cross-point grouping descriptor (jobs="xbatch"): points whose
-    # signatures match run as one lockstep execution.
     trial.xbatch = CSeekXBatch(
         make_protocol=make_protocol,
         postprocess=postprocess,
-        jammer_factory=jammer_factory,
         environment=environment,
     )
     return trial
 
 
 def cgcast_trial(
-    make_protocol: Callable[..., CGCast],
+    make_protocol: Callable[[int], CGCast],
     postprocess: Callable[..., object],
     environment=None,
 ) -> Callable[[int], object]:
-    """A full-pipeline CGCAST trial with a vectorized trial axis.
+    """A full-pipeline CGCAST trial with a batch descriptor.
 
-    ``make_protocol(seed, discovery=None)`` must build the protocol
-    homogeneously in the seed. Serially each trial runs the whole
-    pipeline; under ``jobs="batch"`` the entire execution — discovery,
-    exchanges, coloring, dissemination — of all trials runs in lockstep
-    via :class:`repro.core.cgcast_batch.CGCastBatch`, bit-identical per
-    trial to the serial path. When the protocol is built with a
-    spectrum environment, pass the same ``environment`` here so the
-    batched discovery jams identically.
+    ``make_protocol(seed)`` must build the protocol homogeneously in the
+    seed. Serially each trial runs the whole pipeline; the descriptor
+    runs the entire execution — discovery, exchanges, coloring,
+    dissemination — of all trials in lockstep via
+    :class:`repro.core.cgcast_batch.CGCastBatch`. When the protocol is
+    built with a spectrum environment, pass the same ``environment``
+    here so the batched discovery jams identically.
     """
 
-    def trial(s: int, discovery=None):
-        return postprocess(make_protocol(s, discovery=discovery).run())
+    def trial(s: int):
+        return postprocess(make_protocol(s).run())
 
-    def run_batch(seeds):
-        batch = CGCastBatch.from_serial(
-            make_protocol(0), environment=environment
-        )
-        return [postprocess(r) for r in batch.run(seeds)]
-
-    trial.run_batch = run_batch
-    # Cross-point grouping descriptor (jobs="xbatch"): points whose
-    # signatures match run as one lockstep execution.
     trial.xbatch = CGCastXBatch(
         make_protocol=make_protocol,
         postprocess=postprocess,
@@ -156,30 +125,24 @@ def count_trial(
     log_n: int,
     constants: ProtocolConstants,
     postprocess: Callable[[np.ndarray], object],
-    jammer_factory: Callable[[int], object] | None = None,
     environment=None,
 ) -> Callable[[int], object]:
-    """A single-COUNT-step trial with a vectorized trial axis.
+    """A single-COUNT-step trial with a batch descriptor.
 
     ``postprocess`` receives the ``(n,)`` listener-estimate vector of
-    one trial. Under ``jobs="batch"`` the whole trial axis resolves
-    through :func:`run_count_step_batch` in one engine call; per-trial
-    coins are drawn exactly as the serial path draws them, and a
+    one trial. The descriptor resolves a whole seed list through
+    :func:`~repro.core.count.run_count_step_batch` in one engine call;
+    per-trial coins are drawn exactly as the closure draws them, and a
     spectrum ``environment`` jams the whole axis with one batched
-    gather (``jammer_factory`` is the deprecated per-trial
-    alternative).
+    gather.
     """
     rounds, round_length = count_schedule(max_count, log_n, constants)
     total_slots = rounds * round_length
 
-    def _jam(s: int) -> Optional[np.ndarray]:
-        if jammer_factory is not None:
-            return jammer_factory(s).jam_mask(channels, total_slots)
-        if environment is not None:
-            return environment.stream(s).jam_mask(channels, total_slots)
-        return None
-
     def trial(s: int):
+        jam: Optional[np.ndarray] = None
+        if environment is not None:
+            jam = environment.stream(s).jam_mask(channels, total_slots)
         out = run_count_step(
             adj,
             channels,
@@ -188,31 +151,10 @@ def count_trial(
             log_n=log_n,
             constants=constants,
             rng=np.random.default_rng(s),
-            jam=_jam(s),
+            jam=jam,
         )
         return postprocess(out.estimates)
 
-    def run_batch(seeds: Sequence[int]):
-        jam = None
-        if environment is not None:
-            jam = environment.streams(seeds).jam_mask(
-                channels, total_slots
-            )
-        elif jammer_factory is not None:
-            jam = np.stack([_jam(s) for s in seeds])
-        out = run_count_step_batch(
-            adj,
-            channels,
-            tx_role,
-            max_count=max_count,
-            log_n=log_n,
-            constants=constants,
-            rngs=[np.random.default_rng(s) for s in seeds],
-            jam=jam,
-        )
-        return [postprocess(row) for row in out.estimates]
-
-    trial.run_batch = run_batch
     trial.xbatch = CountXBatch(
         adj=adj,
         channels=channels,
@@ -221,7 +163,6 @@ def count_trial(
         log_n=log_n,
         constants=constants,
         postprocess=postprocess,
-        jammer_factory=jammer_factory,
         environment=environment,
     )
     return trial

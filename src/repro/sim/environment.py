@@ -2,9 +2,8 @@
 
 The paper motivates every primitive with licensed (primary) users
 disrupting channel availability: a slot spent listening on an occupied
-channel is lost (Section 1). This module makes that disruption a
-first-class, pluggable subsystem instead of a single jammer object
-bolted onto CSEEK:
+channel is lost (Section 1). This module is the one model of that
+disruption, for serial and trial-batched runs alike:
 
 * A :class:`SpectrumEnvironment` is an immutable *description* of a
   traffic process over a set of global channels. It knows nothing about
@@ -16,19 +15,18 @@ bolted onto CSEEK:
   trials' chains in lockstep — this is what lets
   :class:`repro.core.cseek_batch.CSeekBatch` jam a whole trial axis
   with one call per protocol step instead of a per-trial Python loop.
-* :meth:`SpectrumEnvironment.stream` is the single-trial view with the
-  legacy :class:`~repro.sim.interference.PrimaryUserTraffic` shapes
-  (``(num_slots, num_channels)`` / ``(num_slots, n)``), used by the
-  serial protocol path.
+* :meth:`SpectrumEnvironment.stream` is the single-trial view
+  (``(num_slots, num_channels)`` / ``(num_slots, n)`` shapes, trial
+  axis dropped), used by the serial protocol path.
 
 Three models ship:
 
 * :class:`MarkovTraffic` — per-channel ON/OFF Markov chains with a
   target stationary occupancy and geometric dwell times. Batched over
-  the trial axis, bit-identical per trial to the sequential
-  :class:`~repro.sim.interference.PrimaryUserTraffic` stream it
-  replaces (pinned in ``tests/test_environment.py``). Bursty: a single
-  long ON burst can erase a whole meeting step.
+  the trial axis, bit-identical per trial to the sequential reference
+  process kept as a test oracle (``tests/test_interference.py``,
+  pinned in ``tests/test_environment.py``). Bursty: a single long ON
+  burst can erase a whole meeting step.
 * :class:`PoissonTraffic` — memoryless per-slot occupancy (each channel
   occupied independently each slot with probability ``activity``).
   Same stationary occupancy as a Markov model with ``mean_dwell``
@@ -42,7 +40,7 @@ Three models ship:
 Per-trial stream seeds derive as ``trial_seed + seed_offset`` so the
 traffic stays decorrelated from protocol coins; ``seed_offset``
 defaults to 1000, the convention the scenario layer and experiment E12
-have always used.
+use.
 """
 
 from __future__ import annotations
@@ -117,9 +115,8 @@ def build_column_lut(
     ``lut[g + 1]`` is the column of managed channel ``g``; every other
     index (idle ``-1`` included) maps to the sentinel column
     ``len(channel_ids)``, which callers keep permanently clear. Shared
-    by :class:`TrafficStream` and the legacy
-    :class:`~repro.sim.interference.PrimaryUserTraffic` so the gather
-    semantics cannot drift apart.
+    by :class:`TrafficStream` and the sequential test oracle so the
+    gather semantics cannot drift apart.
     """
     ids = np.asarray(list(channel_ids), dtype=np.int64)
     max_id = int(ids[-1]) if ids.size else -1
@@ -222,11 +219,10 @@ class TrafficStream(ABC):
 
 
 class _SerialStream:
-    """Single-trial adapter with the legacy ``PrimaryUserTraffic`` shapes.
+    """Single-trial view of a one-trial :class:`TrafficStream`.
 
-    Wraps a one-trial :class:`TrafficStream`, dropping the leading
-    trial axis so the serial protocol path (:meth:`CSeek.run`) can
-    consume an environment exactly as it consumed a ``jammer=``.
+    Drops the leading trial axis so the serial protocol path
+    (:meth:`CSeek.run`) consumes ``(num_slots, n)`` jam masks.
     """
 
     def __init__(self, stream: TrafficStream) -> None:
@@ -258,9 +254,7 @@ class SpectrumEnvironment(ABC):
 
     Environments are immutable descriptions; all mutable state lives in
     the streams they open. One environment therefore serves any number
-    of trials, serial or batched, without cross-trial contamination —
-    which is what lets protocols take an ``environment=`` where they
-    used to need a per-trial ``jammer_factory``.
+    of trials, serial or batched, without cross-trial contamination.
     """
 
     kind: str = "abstract"
@@ -298,15 +292,13 @@ class SpectrumEnvironment(ABC):
 class MarkovTraffic(SpectrumEnvironment):
     """Per-channel ON/OFF Markov chains (bursty licensed traffic).
 
-    The batched refactor of
-    :class:`~repro.sim.interference.PrimaryUserTraffic`: each channel
-    is an independent ON/OFF chain with target stationary occupancy
-    ``activity`` and geometric ON bursts of mean ``mean_dwell`` slots.
-    Streams stack each trial's flip blocks and run the ON/OFF
-    recurrence once, vectorized over trials x channels — per trial
-    bit-identical to the legacy sequential stream (same generator, same
-    draw order), so swapping the environment in changes throughput, not
-    results.
+    Each channel is an independent ON/OFF chain with target stationary
+    occupancy ``activity`` and geometric ON bursts of mean
+    ``mean_dwell`` slots. Streams stack each trial's flip blocks and
+    run the ON/OFF recurrence once, vectorized over trials x channels
+    — per trial bit-identical to the sequential one-chain-at-a-time
+    reference (same generator, same draw order), so batching changes
+    throughput, not results.
 
     Feasibility: the OFF->ON probability needed for stationarity
     saturates at 1, capping reachable occupancy at
@@ -388,7 +380,7 @@ class _MarkovStream(TrafficStream):
         self._off_prob = env._off_prob
         self._on_prob = env._on_prob
         # Every trial starts at stationarity, drawn exactly as the
-        # legacy sequential stream draws it.
+        # sequential reference draws it.
         self._state = np.stack(
             [rng.random(self.num_channels) < env.activity
              for rng in self._rngs]

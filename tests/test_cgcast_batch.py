@@ -95,7 +95,7 @@ class TestPlainEquivalence:
 
     def test_batch_method_round_trip(self, small_regular_net):
         proto = CGCast(small_regular_net, source=3, early_stop=False)
-        got = proto.batch().run(SEEDS)
+        got = CGCastBatch.from_serial(proto).run(SEEDS)
         for s, g in zip(SEEDS, got):
             ref = CGCast(
                 small_regular_net, source=3, seed=s, early_stop=False
@@ -145,22 +145,6 @@ class TestSimulatedExchange:
             assert_results_equal(g, ref)
 
 
-class TestPrecomputedDiscovery:
-    def test_supplied_discoveries_skip_the_phase(self, small_regular_net):
-        batch = CGCastBatch(small_regular_net)
-        reference = batch.run(SEEDS)
-        discoveries = [r.discovery for r in reference]
-        again = batch.run(SEEDS, discoveries=discoveries)
-        for g, ref in zip(again, reference):
-            assert_results_equal(g, ref)
-
-    def test_discovery_count_mismatch_rejected(self, small_regular_net):
-        batch = CGCastBatch(small_regular_net)
-        [only] = batch.run(SEEDS[:1])
-        with pytest.raises(ProtocolError, match="one precomputed discovery"):
-            batch.run(SEEDS, discoveries=[only.discovery])
-
-
 class TestCrossPointLockstep:
     def _nets(self):
         net_a = build_network(
@@ -208,9 +192,7 @@ class TestCrossPointLockstep:
         post = lambda r: (r.success, r.total_slots)  # noqa: E731
         xs = [
             CGCastXBatch(
-                make_protocol=lambda s, discovery=None, net=net: CGCast(
-                    net, seed=s, discovery=discovery
-                ),
+                make_protocol=lambda s, net=net: CGCast(net, seed=s),
                 postprocess=post,
             )
             for net in (net_a, net_b)

@@ -17,12 +17,14 @@ from repro.core import (
     CKSeek,
     CSeek,
     CSeekBatch,
-    batched_discovery,
+    CSeekXBatch,
+    LockstepMember,
+    run_cseek_lockstep,
 )
 from repro.harness import run_trials
 from repro.harness.executor import BatchedExecutor, get_executor
 from repro.model import HarnessError, ProtocolError
-from repro.sim import PrimaryUserTraffic
+from repro.sim import MarkovTraffic
 from repro.sim.trace import TraceRecorder, record_step_batch
 
 SEEDS = [3, 17, 99]
@@ -73,31 +75,22 @@ class TestPlainEquivalence:
 
 
 class TestJammedEquivalence:
-    def _factory(self, net):
-        channels = sorted(net.assignment.universe())
-
-        def jammer_factory(s: int) -> PrimaryUserTraffic:
-            return PrimaryUserTraffic(
-                channels, activity=0.5, mean_dwell=6.0, seed=s + 1000
-            )
-
-        return jammer_factory
+    def _environment(self, net):
+        return MarkovTraffic(
+            sorted(net.assignment.universe()), activity=0.5, mean_dwell=6.0
+        )
 
     def test_primary_user_traffic_matches_serial(self, small_path_net):
-        factory = self._factory(small_path_net)
-        batch = CSeekBatch(
-            small_path_net, jammer_factory=factory
-        ).run(SEEDS)
+        env = self._environment(small_path_net)
+        batch = CSeekBatch(small_path_net, environment=env).run(SEEDS)
         for b, s in enumerate(SEEDS):
-            ref = CSeek(small_path_net, seed=s, jammer=factory(s)).run()
+            ref = CSeek(small_path_net, seed=s, environment=env).run()
             assert_results_equal(batch[b], ref)
 
     def test_jamming_changes_outcomes(self, small_path_net):
         """The jam mask must actually reach the batched engine."""
-        factory = self._factory(small_path_net)
-        jammed = CSeekBatch(
-            small_path_net, jammer_factory=factory
-        ).run(SEEDS)
+        env = self._environment(small_path_net)
+        jammed = CSeekBatch(small_path_net, environment=env).run(SEEDS)
         clear = CSeekBatch(small_path_net).run(SEEDS)
         assert any(
             jammed[b].trace.first_heard != clear[b].trace.first_heard
@@ -105,19 +98,24 @@ class TestJammedEquivalence:
         )
 
     def test_mixed_jammed_and_clear_trials(self, small_path_net):
-        """A factory may leave some trials unjammed; each trial must
-        still match its own serial counterpart."""
-        factory = self._factory(small_path_net)
-
-        def mixed(s: int):
-            return factory(s) if s % 2 else None
-
-        batch = CSeekBatch(
-            small_path_net, jammer_factory=mixed
-        ).run(SEEDS)
-        for b, s in enumerate(SEEDS):
-            ref = CSeek(small_path_net, seed=s, jammer=mixed(s)).run()
-            assert_results_equal(batch[b], ref)
+        """Jammed and clear trials may share one lockstep run on one
+        graph; each trial must still match its own serial counterpart."""
+        env = self._environment(small_path_net)
+        jammed_seeds, clear_seeds = SEEDS[:2], SEEDS[2:]
+        got = run_cseek_lockstep(
+            [
+                LockstepMember(
+                    CSeekBatch(small_path_net, environment=env),
+                    jammed_seeds,
+                ),
+                LockstepMember(CSeekBatch(small_path_net), clear_seeds),
+            ]
+        )
+        for g, s in zip(got[0], jammed_seeds):
+            ref = CSeek(small_path_net, seed=s, environment=env).run()
+            assert_results_equal(g, ref)
+        for g, s in zip(got[1], clear_seeds):
+            assert_results_equal(g, CSeek(small_path_net, seed=s).run())
 
 
 class TestUniformListenerEquivalence:
@@ -149,8 +147,7 @@ class TestProtocolReuse:
         make = lambda s: CKSeek(  # noqa: E731
             hetero_net, khat=khat, delta_khat=delta_khat, seed=s
         )
-        proto = make(0)
-        batch = proto.batch().run(SEEDS)
+        batch = CSeekBatch.from_serial(make(0)).run(SEEDS)
         for b, s in enumerate(SEEDS):
             assert_results_equal(batch[b], make(s).run())
 
@@ -179,37 +176,27 @@ class TestProtocolReuse:
             ).run(),
         )
 
-    def test_cgcast_discovery_injection(self, clique_chain_net):
+    def test_cgcast_embedded_discovery(self, clique_chain_net):
+        """CGCAST's phase 1 is a CSEEK run under its own rng label."""
         net = clique_chain_net
-        discoveries = batched_discovery(net, SEEDS)
-        for s, disc in zip(SEEDS, discoveries):
+        batch = CSeekBatch(net, rng_label="cgcast.discovery").run(SEEDS)
+        for b, s in enumerate(SEEDS):
             plain = CGCast(net, source=0, seed=s).run()
-            injected = CGCast(
-                net, source=0, seed=s, discovery=disc
-            ).run()
-            assert np.array_equal(injected.informed, plain.informed)
-            assert np.array_equal(
-                injected.informed_slot, plain.informed_slot
-            )
-            assert injected.ledger.as_dict() == plain.ledger.as_dict()
-            assert injected.edge_colors == plain.edge_colors
-            assert injected.dedicated == plain.dedicated
+            assert_results_equal(batch[b], plain.discovery)
 
 
 class TestExecutorIntegration:
     def _make_trial(self, net):
-        def trial(s: int):
-            result = CSeek(net, seed=s, part1_steps=10, part2_steps=15).run()
+        def make(s: int) -> CSeek:
+            return CSeek(net, seed=s, part1_steps=10, part2_steps=15)
+
+        def outcome(result):
             return sorted(map(sorted, result.discovered))
 
-        def run_batch(seeds):
-            batch = CSeekBatch(net, part1_steps=10, part2_steps=15)
-            return [
-                sorted(map(sorted, r.discovered))
-                for r in batch.run(seeds)
-            ]
+        def trial(s: int):
+            return outcome(make(s).run())
 
-        trial.run_batch = run_batch
+        trial.xbatch = CSeekXBatch(make_protocol=make, postprocess=outcome)
         return trial
 
     def test_run_trials_batch_matches_serial(self, small_path_net):

@@ -1,12 +1,12 @@
 """The spectrum-environment subsystem (repro.sim.environment).
 
 Three invariant families: (1) the batched ``MarkovTraffic`` recurrence
-is bit-identical, per trial, to the legacy sequential
-``PrimaryUserTraffic`` stream it refactors; (2) the gather-based
-``jam_mask`` equals the old per-node loop on every channel shape; and
-(3) the protocol layer produces identical results whether traffic
-arrives via ``environment=``, the deprecated ``jammer=`` alias, or the
-trial-batched runner.
+is bit-identical, per trial, to the sequential ``PrimaryUserTraffic``
+reference (the oracle in ``tests/test_interference.py``); (2) the
+gather-based ``jam_mask`` equals the old per-node loop on every channel
+shape; and (3) the protocol layer produces identical results whether
+traffic comes from an environment's serial stream, the sequential
+reference, or the trial-batched runner.
 """
 
 from __future__ import annotations
@@ -14,15 +14,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import CGCast, CSeek, CSeekBatch, batched_discovery
+from repro.core import CGCast, CSeek, CSeekBatch
 from repro.model import ProtocolError
 from repro.sim import (
     MarkovTraffic,
     PoissonTraffic,
-    PrimaryUserTraffic,
     StaticMask,
     make_environment,
 )
+
+from tests.test_interference import PrimaryUserTraffic
 
 IDS = [2, 5, 9, 14]
 SEEDS = [3, 17, 99]
@@ -256,16 +257,21 @@ class TestProtocolIntegration:
     def test_environment_equals_legacy_jammer(self, small_path_net):
         env = self._env(small_path_net)
         ids = sorted(small_path_net.assignment.universe())
+
+        class SequentialEnvironment:
+            """Hands CSeek the sequential reference as its stream."""
+
+            def stream(self, seed):
+                return PrimaryUserTraffic(
+                    ids, activity=0.5, mean_dwell=6.0, seed=seed + 1000
+                )
+
         for s in SEEDS:
             via_env = CSeek(
                 small_path_net, seed=s, environment=env
             ).run()
             via_jammer = CSeek(
-                small_path_net,
-                seed=s,
-                jammer=PrimaryUserTraffic(
-                    ids, activity=0.5, mean_dwell=6.0, seed=s + 1000
-                ),
+                small_path_net, seed=s, environment=SequentialEnvironment()
             ).run()
             assert via_env.discovered == via_jammer.discovered
             assert (
@@ -300,25 +306,10 @@ class TestProtocolIntegration:
         result = CSeek(small_path_net, seed=1, environment=env).run()
         assert all(not d for d in result.discovered)
 
-    def test_jammer_and_environment_mutually_exclusive(
-        self, small_path_net
-    ):
-        ids = sorted(small_path_net.assignment.universe())
-        jammer = PrimaryUserTraffic(ids, activity=0.5, seed=0)
-        env = self._env(small_path_net)
-        with pytest.raises(ProtocolError, match="not both"):
-            CSeek(small_path_net, jammer=jammer, environment=env)
-        with pytest.raises(ProtocolError, match="not both"):
-            CSeekBatch(
-                small_path_net,
-                jammer_factory=lambda s: jammer,
-                environment=env,
-            )
-
     def test_batch_inherits_prototype_environment(self, small_path_net):
         env = self._env(small_path_net)
         proto = CSeek(small_path_net, seed=0, environment=env)
-        batch = proto.batch()
+        batch = CSeekBatch.from_serial(proto)
         assert batch.environment is env
         got = batch.run([SEEDS[0]])[0]
         ref = CSeek(
@@ -327,30 +318,28 @@ class TestProtocolIntegration:
         assert got.trace.first_heard == ref.trace.first_heard
 
     @pytest.mark.integration
-    def test_cgcast_discovery_injection_with_environment(
+    def test_cgcast_embedded_discovery_with_environment(
         self, clique_chain_net
     ):
+        """CGCAST jams its phase 1 exactly as a standalone CSEEK run."""
         env = MarkovTraffic(
             sorted(clique_chain_net.assignment.universe()),
             activity=0.4,
             mean_dwell=6.0,
         )
-        discoveries = batched_discovery(
-            clique_chain_net, SEEDS, environment=env
-        )
-        for s, disc in zip(SEEDS, discoveries):
+        batch = CSeekBatch(
+            clique_chain_net, rng_label="cgcast.discovery", environment=env
+        ).run(SEEDS)
+        for b, s in enumerate(SEEDS):
             plain = CGCast(
                 clique_chain_net, source=0, seed=s, environment=env
             ).run()
-            injected = CGCast(
-                clique_chain_net,
-                source=0,
-                seed=s,
-                environment=env,
-                discovery=disc,
-            ).run()
-            assert np.array_equal(injected.informed, plain.informed)
-            assert injected.ledger.as_dict() == plain.ledger.as_dict()
+            assert batch[b].discovered == plain.discovery.discovered
+            assert (
+                batch[b].trace.first_heard
+                == plain.discovery.trace.first_heard
+            )
+            assert batch[b].ledger.as_dict() == plain.discovery.ledger.as_dict()
 
 
 class TestActivityVectors:

@@ -1,7 +1,15 @@
 """Unit tests for the pluggable trial executors."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import repro
+from repro.core import XBatchable
 from repro.harness import (
     BatchedExecutor,
     ParallelExecutor,
@@ -14,6 +22,28 @@ from repro.model import HarnessError
 
 def square(s):
     return s * s
+
+
+class ToyXBatch(XBatchable):
+    """A batch descriptor whose runner is a plain seed-list function."""
+
+    kind = "toy"
+
+    def __init__(self, run_seeds):
+        self.run_seeds = run_seeds
+
+    def signature(self):
+        return (self.kind, id(self))
+
+    @classmethod
+    def run_members(cls, xs, seed_lists):
+        return [x.run_seeds(seeds) for x, seeds in zip(xs, seed_lists)]
+
+
+def with_descriptor(trial, run_seeds):
+    """``trial`` carrying a :class:`ToyXBatch` over ``run_seeds``."""
+    trial.xbatch = ToyXBatch(run_seeds)
+    return trial
 
 
 class TestGetExecutor:
@@ -107,44 +137,73 @@ class TestParallelExecutor:
         out = ParallelExecutor(jobs=2, chunk_size=3).run(square, seeds)
         assert out == [s * s for s in seeds]
 
+    def test_killed_worker_fails_loudly(self):
+        # A worker SIGKILLed mid-chunk (the OS out-of-memory killer, a
+        # crashed extension) must surface as a HarnessError naming the
+        # chunk's seeds. Run in a subprocess with a timeout, so a
+        # regression to a hanging pool fails here instead of wedging
+        # the suite.
+        script = textwrap.dedent(
+            """
+            import os, signal
+            from repro.harness import ParallelExecutor
+            from repro.model import HarnessError
+
+            def trial(s):
+                if s == 3:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return s
+
+            try:
+                ParallelExecutor(jobs=2).run(trial, list(range(8)))
+            except HarnessError as exc:
+                print(exc)
+            else:
+                raise SystemExit("no HarnessError raised")
+            """
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "pool worker died" in proc.stdout
+        assert "seeds=[3]" in proc.stdout
+
 
 class TestBatchedExecutor:
-    def test_uses_run_batch_when_offered(self):
+    def test_uses_descriptor_when_offered(self):
         calls = []
 
         def trial(s):
             raise AssertionError("serial path must not run")
 
-        def run_batch(seeds):
+        def run_seeds(seeds):
             calls.append(list(seeds))
             return [s * 10 for s in seeds]
 
-        trial.run_batch = run_batch
+        with_descriptor(trial, run_seeds)
         assert BatchedExecutor().run(trial, [1, 2]) == [10, 20]
         assert calls == [[1, 2]]
 
-    def test_falls_back_to_serial_without_run_batch(self):
+    def test_falls_back_to_serial_without_descriptor(self):
         assert BatchedExecutor().run(square, [2, 3]) == [4, 9]
 
     def test_rejects_wrong_result_count(self):
-        def trial(s):
-            return s
-
-        def short_batch(seeds):
-            return [0]
-
-        trial.run_batch = short_batch
+        trial = with_descriptor(lambda s: s, lambda seeds: [0])
         with pytest.raises(HarnessError, match="1 results for 2 seeds"):
             BatchedExecutor().run(trial, [1, 2])
 
     def test_wraps_batch_failure(self):
-        def trial(s):
-            return s
-
-        def run_batch(seeds):
+        def run_seeds(seeds):
             raise ValueError("vector boom")
 
-        trial.run_batch = run_batch
+        trial = with_descriptor(lambda s: s, run_seeds)
         with pytest.raises(HarnessError, match="vector boom"):
             BatchedExecutor().run(trial, [1, 2])
 

@@ -20,6 +20,8 @@ from repro.harness import (
 )
 from repro.model import HarnessError
 
+from tests.test_executor import with_descriptor
+
 
 class TestRenderMarkdown:
     def test_basic_table(self):
@@ -140,10 +142,12 @@ class TestExecutionEquivalence:
         def trial(s):
             return float(np.random.default_rng(s).random())
 
-        def run_batch(seeds):
-            return [float(np.random.default_rng(s).random()) for s in seeds]
-
-        trial.run_batch = run_batch
+        with_descriptor(
+            trial,
+            lambda seeds: [
+                float(np.random.default_rng(s).random()) for s in seeds
+            ],
+        )
         serial = run_trials(trial, 12, seed=7)
         parallel = run_trials(trial, 12, seed=7, executor=2)
         batched = run_trials(trial, 12, seed=7, executor="batch")

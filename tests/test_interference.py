@@ -1,11 +1,142 @@
-"""Unit tests for primary-user interference and jam-aware resolution."""
+"""Primary-user interference: the sequential reference and jam-aware runs.
+
+:class:`PrimaryUserTraffic` is the sequential ON/OFF occupancy process
+the protocols consumed before the spectrum-environment subsystem
+(:mod:`repro.sim.environment`) existed. It lives on here as the test
+oracle :class:`~repro.sim.environment.MarkovTraffic` is pinned against
+(``tests/test_environment.py``), next to its own property tests.
+"""
+
+from typing import Sequence
 
 import numpy as np
 import pytest
 
 from repro.core import CSeek, verify_discovery
 from repro.model import ProtocolError
-from repro.sim import PrimaryUserTraffic, resolve_step
+from repro.sim import MarkovTraffic, resolve_step
+from repro.sim.environment import build_column_lut, sentinel_columns
+
+
+class PrimaryUserTraffic:
+    """Sequential ON/OFF occupancy over a set of global channels.
+
+    Args:
+        channel_ids: Global channel ids the primary users may occupy.
+        activity: Target stationary occupied fraction per channel, in
+            ``[0, 1)``.
+        mean_dwell: Mean ON-burst length in slots (``>= 1``); OFF
+            lengths follow from the stationarity constraint.
+        seed: Randomness seed.
+
+    Feasibility: with geometric ON bursts of mean ``mean_dwell``, the
+    OFF->ON transition probability needed for stationarity is
+    ``activity / (mean_dwell * (1 - activity))`` and saturates at 1.
+    Targets beyond ``mean_dwell / (mean_dwell + 1)`` are therefore
+    unreachable — the chain then turns ON every OFF slot and the
+    realized occupancy plateaus at that cap. The
+    :attr:`realized_activity` property reports the stationary fraction
+    the chain actually attains.
+    """
+
+    def __init__(
+        self,
+        channel_ids: Sequence[int],
+        activity: float,
+        mean_dwell: float = 8.0,
+        seed: int = 0,
+    ) -> None:
+        if not 0.0 <= activity < 1.0:
+            raise ProtocolError(
+                f"activity must be in [0, 1), got {activity}"
+            )
+        if mean_dwell < 1.0:
+            raise ProtocolError(
+                f"mean_dwell must be >= 1 slot, got {mean_dwell}"
+            )
+        ids = sorted(set(int(g) for g in channel_ids))
+        if not ids:
+            raise ProtocolError("need at least one channel id")
+        if any(g < 0 for g in ids):
+            raise ProtocolError("channel ids must be non-negative")
+        self.channel_ids = ids
+        self.activity = activity
+        self.mean_dwell = mean_dwell
+        # One gather implementation with the environment subsystem:
+        # built once here, applied every step in jam_mask.
+        self._column_lut, self._max_id = build_column_lut(ids)
+        self._rng = np.random.default_rng(seed)
+        # ON -> OFF with prob 1/dwell; OFF -> ON tuned for stationarity:
+        # p = on_rate / (on_rate + off_rate).
+        self._off_prob = 1.0 / mean_dwell
+        if activity == 0.0:
+            self._on_prob = 0.0
+        else:
+            self._on_prob = min(
+                1.0, activity * self._off_prob / (1.0 - activity)
+            )
+        # Start at stationarity.
+        self._state = self._rng.random(len(ids)) < activity
+
+    @property
+    def num_channels(self) -> int:
+        """Channels under primary-user control."""
+        return len(self.channel_ids)
+
+    @property
+    def realized_activity(self) -> float:
+        """The stationary occupancy the chain actually attains.
+
+        Equals ``activity`` whenever the target is feasible for the
+        requested dwell, and the ``mean_dwell / (mean_dwell + 1)`` cap
+        otherwise (see the class docstring).
+        """
+        if self._on_prob == 0.0:
+            return 0.0
+        return self._on_prob / (self._on_prob + self._off_prob)
+
+    def occupied_block(self, num_slots: int) -> np.ndarray:
+        """Advance the chains; return ``(num_slots, num_channels)`` bool.
+
+        Column order matches ``self.channel_ids``.
+        """
+        if num_slots < 1:
+            raise ProtocolError(f"num_slots must be >= 1, got {num_slots}")
+        out = np.empty((num_slots, self.num_channels), dtype=bool)
+        state = self._state
+        flips = self._rng.random((num_slots, self.num_channels))
+        for t in range(num_slots):
+            turn_off = state & (flips[t] < self._off_prob)
+            turn_on = ~state & (flips[t] < self._on_prob)
+            state = (state & ~turn_off) | turn_on
+            out[t] = state
+        self._state = state
+        return out
+
+    def jam_mask(
+        self, channels: np.ndarray, num_slots: int
+    ) -> np.ndarray:
+        """Per-node reception-kill mask for a fixed-channel step.
+
+        Args:
+            channels: ``(n,)`` global channel per node (``-1`` idle;
+                idle nodes are never jammed — they hear nothing anyway).
+            num_slots: Step length; the traffic advances by this much.
+
+        Returns:
+            ``(num_slots, n)`` boolean; True where the node's channel is
+            occupied that slot. Channels outside the primary users'
+            set are never occupied.
+        """
+        occupied = self.occupied_block(num_slots)
+        channels = np.asarray(channels)
+        # Channel-column gather through the precomputed LUT: the
+        # sentinel column is never occupied (no per-node Python loop).
+        cols = sentinel_columns(self._column_lut, self._max_id, channels)
+        extended = np.concatenate(
+            [occupied, np.zeros((num_slots, 1), dtype=bool)], axis=1
+        )
+        return extended[:, cols]
 
 
 class TestPrimaryUserTraffic:
@@ -170,27 +301,29 @@ class TestCSeekUnderInterference:
     @pytest.mark.integration
     def test_short_bursts_are_absorbed(self, small_regular_net):
         net = small_regular_net
-        traffic = PrimaryUserTraffic(
+        # Traffic stream seed 7 (protocol seed 1 + offset 6).
+        env = MarkovTraffic(
             sorted(net.assignment.universe()),
             activity=0.3,
             mean_dwell=4.0,
-            seed=7,
+            seed_offset=6,
         )
-        result = CSeek(net, seed=1, jammer=traffic).run()
+        result = CSeek(net, seed=1, environment=env).run()
         assert verify_discovery(result, net).success
 
     @pytest.mark.integration
     def test_heavy_long_bursts_break_discovery(self, small_regular_net):
         net = small_regular_net
+        # Traffic stream seed s, the protocol's own seed.
+        env = MarkovTraffic(
+            sorted(net.assignment.universe()),
+            activity=0.9,
+            mean_dwell=2000.0,
+            seed_offset=0,
+        )
         failures = 0
         for s in range(3):
-            traffic = PrimaryUserTraffic(
-                sorted(net.assignment.universe()),
-                activity=0.9,
-                mean_dwell=2000.0,
-                seed=s,
-            )
-            result = CSeek(net, seed=s, jammer=traffic).run()
+            result = CSeek(net, seed=s, environment=env).run()
             if not verify_discovery(result, net).success:
                 failures += 1
         assert failures > 0

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from repro.core import CSeek, ProtocolConstants, run_count_step
 from repro.graphs import build_network, cycle, path, random_regular
-from repro.sim import PrimaryUserTraffic
+from repro.sim import MarkovTraffic
+
+from tests.test_interference import PrimaryUserTraffic
 
 
 @st.composite
@@ -126,18 +128,19 @@ class TestInterferenceInvariants:
         clean = CSeek(
             network, seed=seed, part1_steps=20, part2_steps=0
         ).run()
-        traffic = PrimaryUserTraffic(
+        # Traffic stream seed ``seed + 1``.
+        env = MarkovTraffic(
             sorted(network.assignment.universe()),
             activity=0.5,
             mean_dwell=6.0,
-            seed=seed + 1,
+            seed_offset=1,
         )
         jammed = CSeek(
             network,
             seed=seed,
             part1_steps=20,
             part2_steps=0,
-            jammer=traffic,
+            environment=env,
         ).run()
         for u in range(network.n):
             assert jammed.discovered[u] <= clean.discovered[u]

@@ -2,7 +2,7 @@
 
 The invariant everywhere: grouping compatible sweep points into one
 lockstep execution is a pure throughput decision — every trial's result
-stays bit-identical to the per-point ``CSeekBatch``/``run_batch`` path,
+stays bit-identical to the per-point ``CSeekBatch``/descriptor path,
 for plain, jammed, ragged-trial-count and mixed-shape workloads, and
 scenario rows are byte-identical under every ``jobs`` value.
 """
@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    CGCast,
     CSeek,
     CSeekBatch,
     CSeekXBatch,
@@ -25,6 +26,7 @@ from repro.core import (
 )
 from repro.graphs import build_network, cycle, path
 from repro.harness.executor import (
+    SerialExecutor,
     StreamingExecutor,
     XBatchExecutor,
     get_executor,
@@ -34,15 +36,23 @@ from repro.scenarios import (
     InterferenceSpec,
     PrecisionSpec,
     ProtocolSpec,
+    RunContext,
     ScenarioSpec,
     SweepSpec,
     TopologySpec,
     paper_spec,
     run_scenario_spec,
+    scenario_plan,
     stream_scenario_spec,
 )
+from repro.scenarios.trials import (
+    broadcaster_star,
+    cgcast_trial,
+    count_trial,
+    cseek_trial,
+)
 from repro.scenarios.spec import AssignmentSpec
-from repro.sim import PrimaryUserTraffic
+from repro.sim import MarkovTraffic
 from repro.sim.engine import resolve_step, resolve_step_batch
 from repro.sim.rng import RngHub
 
@@ -83,23 +93,21 @@ class TestLockstepEquivalence:
     def test_jammed_and_clear_members_stay_independent(
         self, path_net, cycle_net
     ):
-        channels = sorted(path_net.assignment.universe())
-
-        def factory(s: int) -> PrimaryUserTraffic:
-            return PrimaryUserTraffic(
-                channels, activity=0.5, mean_dwell=6.0, seed=s + 1000
-            )
-
+        env = MarkovTraffic(
+            sorted(path_net.assignment.universe()),
+            activity=0.5,
+            mean_dwell=6.0,
+        )
         got = run_cseek_lockstep(
             [
                 LockstepMember(
-                    CSeekBatch(path_net, jammer_factory=factory), SEEDS_A
+                    CSeekBatch(path_net, environment=env), SEEDS_A
                 ),
                 LockstepMember(CSeekBatch(cycle_net), SEEDS_B),
             ]
         )
         for g, s in zip(got[0], SEEDS_A):
-            ref = CSeek(path_net, seed=s, jammer=factory(s)).run()
+            ref = CSeek(path_net, seed=s, environment=env).run()
             assert_results_equal(g, ref)
         for g, r in zip(got[1], CSeekBatch(cycle_net).run(SEEDS_B)):
             assert_results_equal(g, r)
@@ -373,3 +381,83 @@ class TestAdaptiveChunks:
             for r in chunk
         ]
         assert got == ref
+
+
+def _guarded(trial):
+    """A serial closure that raises, carrying ``trial``'s descriptor."""
+
+    def serial_closure(s):
+        raise AssertionError("batch executor ran the serial closure")
+
+    serial_closure.xbatch = trial.xbatch
+    return serial_closure
+
+
+def _cseek_case(net):
+    env = MarkovTraffic(
+        sorted(net.assignment.universe()), activity=0.5, mean_dwell=6.0
+    )
+    return cseek_trial(
+        lambda s: CSeek(net, seed=s, part1_steps=10, part2_steps=15),
+        lambda r: sorted(map(sorted, r.discovered)),
+        environment=env,
+    )
+
+
+def _cgcast_case(net):
+    return cgcast_trial(
+        lambda s: CGCast(net, seed=s),
+        lambda r: (r.success, r.total_slots, r.informed_slot.tolist()),
+    )
+
+
+def _count_case(net):
+    adj, channels, tx_role = broadcaster_star(6)
+    return count_trial(
+        adj,
+        channels,
+        tx_role,
+        max_count=8,
+        log_n=3,
+        constants=ProtocolConstants.fast(),
+        postprocess=lambda est: est.tolist(),
+        environment=MarkovTraffic([0], activity=0.4, mean_dwell=3.0),
+    )
+
+
+def _e11_case(net):
+    ctx = RunContext(trials=2, seed=0)
+    [point] = scenario_plan(paper_spec("E11"), ctx)
+    return point.runs[0].trial
+
+
+class TestDescriptorPath:
+    """``jobs="batch"`` runs the descriptor, never the serial closure.
+
+    Each factory's closure is swapped for one that raises, so a silent
+    fall-back to serial execution fails the test; the batched outcomes
+    must equal the serial closure's exactly.
+    """
+
+    @pytest.mark.parametrize(
+        "make_trial, seeds, jobs_values",
+        [
+            (_cseek_case, SEEDS_A, ("batch", "batch:2")),
+            (_cgcast_case, SEEDS_A, ("batch", "batch:2")),
+            (_count_case, SEEDS_A, ("batch", "batch:2")),
+            # One E11 trial costs seconds; a single seed keeps it short.
+            pytest.param(
+                _e11_case, [7], ("batch",), marks=pytest.mark.integration
+            ),
+        ],
+        ids=["cseek", "cgcast", "count", "e11"],
+    )
+    def test_batch_rides_descriptor(
+        self, path_net, make_trial, seeds, jobs_values
+    ):
+        trial = make_trial(path_net)
+        expected = SerialExecutor().run(trial, seeds)
+        for jobs in jobs_values:
+            got = get_executor(jobs).run(_guarded(trial), seeds)
+            assert got == expected, jobs
+
