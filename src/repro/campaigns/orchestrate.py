@@ -56,7 +56,6 @@ from repro.scenarios import (
     run_scenario,
     spec_to_dict,
 )
-from repro.sim.backend import active_backend
 
 __all__ = ["CampaignResult", "EntryOutcome", "run_campaign", "run_id_for"]
 
@@ -190,8 +189,8 @@ def _execute_entry(payload: Dict[str, object]) -> Dict[str, object]:
     Returns the table as its JSON payload plus wall time, or the error
     — never raises, so a failing entry cannot take the pool down. When
     the payload asks for telemetry, the entry runs under its own
-    recorder and ships the snapshot back; cheap vitals (peak RSS,
-    backend identity) are measured in the executing process either way.
+    recorder and ships the snapshot back; the cheap peak-RSS vital is
+    measured in the executing process either way.
     """
     start = time.time()
     tel = obs.start() if payload.get("telemetry") else None
@@ -214,10 +213,7 @@ def _execute_entry(payload: Dict[str, object]) -> Dict[str, object]:
     out["wall_time"] = time.time() - start
     if tel is not None:
         out["telemetry"] = obs.stop()
-    out["vitals"] = {
-        "peak_rss_kb": obs.peak_rss_kb(),
-        "backend": active_backend().name,
-    }
+    out["vitals"] = {"peak_rss_kb": obs.peak_rss_kb()}
     return out
 
 
@@ -285,7 +281,6 @@ def _entry_manifest(
         "trials": plan.trials,
         "seed": plan.seed,
         "executor": executor,
-        "backend": active_backend().name,
         "experiment_id": plan.table_id,
         "title": plan.title,
         "scenario_digest": plan.digest,
@@ -301,7 +296,6 @@ def _entry_manifest(
     # process for entries that never executed.
     vitals = dict(vitals or {})
     vitals.setdefault("peak_rss_kb", obs.peak_rss_kb())
-    vitals.setdefault("backend", manifest["backend"])
     vitals["executor"] = executor
     vitals["wall_time"] = wall_time
     manifest["vitals"] = vitals
@@ -541,7 +535,6 @@ def run_campaign(
         "seed": effective_seed,
         "trials": trials,
         "executor": "serial" if jobs is None else str(jobs),
-        "backend": active_backend().name,
         "campaign_jobs": campaign_jobs,
         "status": "done" if counts["failed"] == 0 else "partial",
         "counts": counts,

@@ -406,8 +406,6 @@ def _entry_provenance(manifest: dict) -> str:
     ]
     vitals = manifest.get("vitals")
     if isinstance(vitals, dict):
-        if vitals.get("backend"):
-            bits.append(f"backend {vitals['backend']}")
         if vitals.get("peak_rss_kb"):
             bits.append(f"peak RSS {vitals['peak_rss_kb']} KiB")
     return " · ".join(str(b) for b in bits)

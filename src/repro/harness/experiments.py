@@ -4,9 +4,9 @@ The experiment definitions themselves live in
 :mod:`repro.scenarios.paper` as registered
 :class:`~repro.scenarios.spec.ScenarioSpec` objects compiled by
 :mod:`repro.scenarios.compile`; what remains here is the legacy calling
-surface (``experiment_eN`` functions, the ``EXPERIMENTS`` registry and
-:func:`run_experiment` with its result cache) that tests, benchmarks
-and the CLI's ``run`` command rely on.
+surface (the ``EXPERIMENTS`` registry and :func:`run_experiment` with
+its result cache) that tests, benchmarks and the CLI's ``run`` command
+rely on.
 
 All experiments take a ``trials`` knob (statistical confidence vs
 runtime), a master ``seed``, and a ``jobs`` knob selecting the execution
@@ -73,21 +73,6 @@ EXPERIMENTS: Dict[str, Callable[..., ExperimentTable]] = {
     experiment_id: _make_experiment(experiment_id)
     for experiment_id in _EXPERIMENT_IDS
 }
-
-# Named aliases for the historical import surface
-# (``from repro.harness.experiments import experiment_e2``).
-experiment_e1 = EXPERIMENTS["E1"]
-experiment_e2 = EXPERIMENTS["E2"]
-experiment_e3 = EXPERIMENTS["E3"]
-experiment_e4 = EXPERIMENTS["E4"]
-experiment_e5 = EXPERIMENTS["E5"]
-experiment_e6 = EXPERIMENTS["E6"]
-experiment_e7 = EXPERIMENTS["E7"]
-experiment_e8 = EXPERIMENTS["E8"]
-experiment_e9 = EXPERIMENTS["E9"]
-experiment_e10 = EXPERIMENTS["E10"]
-experiment_e11 = EXPERIMENTS["E11"]
-experiment_e12 = EXPERIMENTS["E12"]
 
 
 def experiment_ids() -> List[str]:

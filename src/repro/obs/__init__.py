@@ -5,7 +5,7 @@ Usage at an instrumentation site (all no-ops while telemetry is off)::
     from repro import obs
 
     with obs.span("gemm"):
-        contenders, idsum = backend.step_products(reach, coins)
+        contenders, idsum = BACKEND.step_products(reach, coins)
     obs.count("engine.resolve_step_calls")
 
 Usage at a collection site::

@@ -1,13 +1,6 @@
 """Synchronous slot-level simulation engine."""
 
-from repro.sim.backend import (
-    ArrayBackend,
-    NumpyBackend,
-    active_backend,
-    available_backends,
-    set_backend,
-    use_backend,
-)
+from repro.sim.backend import NumpyBackend
 from repro.sim.engine import (
     BatchStepOutcome,
     SlotOutcome,
@@ -31,14 +24,9 @@ from repro.sim.rng import RngHub
 from repro.sim.trace import ReceptionEvent, TraceRecorder
 
 __all__ = [
-    "ArrayBackend",
     "BatchStepOutcome",
     "CRNetwork",
     "NumpyBackend",
-    "active_backend",
-    "available_backends",
-    "set_backend",
-    "use_backend",
     "MarkovTraffic",
     "PoissonTraffic",
     "ReceptionEvent",

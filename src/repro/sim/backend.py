@@ -1,106 +1,38 @@
-"""Pluggable array-compute backends for the engine's hot path.
+"""The engine's step arithmetic: two exact integer products per step.
 
 Every engine entry point ultimately reduces to the same two products
 per step: for each (trial, slot) coin row, the number of reachable
 broadcasting neighbors per listener (``contenders``) and the id-sum of
 those neighbors (``idsum`` — the sender's identity whenever exactly one
-neighbor transmits). :class:`ArrayBackend` isolates exactly that pair
-of products, so the surrounding protocol semantics (reception masks,
-listener gating, jamming) stay in :mod:`repro.sim.engine` while the
-arithmetic can be swapped:
+neighbor transmits). :class:`NumpyBackend` computes exactly that pair,
+so the surrounding protocol semantics (reception masks, listener
+gating, jamming) stay in :mod:`repro.sim.engine`.
 
-:class:`NumpyBackend`
-    The default and the reference. Casts the boolean reception mask to
-    float64 once per distinct mask (cached — see
-    :meth:`NumpyBackend.reach_floats`) so the products dispatch to BLAS
-    GEMMs. All operands are 0/1 coins or ids ``< n``, so every product
-    is an exact integer ``< n^2 << 2^53`` — float64 round-trips are
-    lossless and results are bit-identical regardless of blocking.
-:class:`NumbaBackend`
-    Optional JIT backend, discovered at runtime (never imported unless
-    selected). Computes the same integer products with fused
-    ``prange`` loops over the boolean masks directly — no float
-    round-trip, no temporaries. Because both backends produce exact
-    integers, their outputs are bit-identical; the equivalence tests
-    in ``tests/test_backend.py`` pin that, and they skip cleanly when
-    numba is absent.
+The boolean reception mask is cast to float64 once per distinct mask
+(cached — see :meth:`NumpyBackend.reach_floats`) so the products
+dispatch to BLAS GEMMs. All operands are 0/1 coins or ids ``< n``, so
+every product is an exact integer ``< n^2 << 2^53`` — float64
+round-trips are lossless and results are bit-identical regardless of
+blocking.
 
-Selection: :func:`set_backend` / the ``--backend`` CLI flag, or the
-``REPRO_BACKEND`` environment variable (read lazily on first use, so
-``REPRO_BACKEND=numba pytest`` exercises the JIT path end to end).
-:func:`use_backend` scopes a choice to a ``with`` block for tests.
+The engine calls the module-level :data:`BACKEND` instance and looks
+its methods up at call time, so patching ``NumpyBackend.step_products``
+or ``.batch_step_products`` on the class reaches every engine call.
 """
 
 from __future__ import annotations
 
-import importlib.util
-import os
-from contextlib import contextmanager
-from typing import Iterator, List, Optional, Protocol, Tuple, runtime_checkable
+from typing import List, Tuple
 
 import numpy as np
 
 from repro import obs
-from repro.model.errors import HarnessError
 
-__all__ = [
-    "ArrayBackend",
-    "NumpyBackend",
-    "active_backend",
-    "available_backends",
-    "set_backend",
-    "use_backend",
-]
-
-#: Environment variable naming the default backend.
-BACKEND_ENV = "REPRO_BACKEND"
-
-
-@runtime_checkable
-class ArrayBackend(Protocol):
-    """The two integer products every engine step reduces to.
-
-    Implementations must return exact ``int64`` results — the values
-    are counts and id-sums, both integers, so any correct
-    implementation is bit-identical to any other. That exactness is
-    what makes the backend a pure throughput decision.
-    """
-
-    name: str
-
-    def step_products(
-        self, reach: np.ndarray, coins: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Products for a shared ``(n, n)`` reception mask.
-
-        Args:
-            reach: ``(n, n)`` boolean; ``[u, v]`` = v's broadcasts
-                reach u.
-            coins: ``(M, n)`` boolean transmission coins (any flattened
-                trial/slot axis).
-
-        Returns:
-            ``(contenders, idsum)`` int64 arrays of shape ``(M, n)``.
-        """
-        ...
-
-    def batch_step_products(
-        self, reach: np.ndarray, coins: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Products for per-trial ``(B, n, n)`` reception masks.
-
-        Args:
-            reach: ``(B, n, n)`` boolean per-trial reception masks.
-            coins: ``(B, T, n)`` boolean per-trial per-slot coins.
-
-        Returns:
-            ``(contenders, idsum)`` int64 arrays of shape ``(B, T, n)``.
-        """
-        ...
+__all__ = ["BACKEND", "NumpyBackend"]
 
 
 class NumpyBackend:
-    """BLAS-dispatched reference backend (the default).
+    """BLAS-dispatched step products.
 
     Float64 casts of a reception mask are memoized per mask object
     (:meth:`reach_floats`): protocol runs resolve many steps against
@@ -110,8 +42,6 @@ class NumpyBackend:
     sweeps. The cache keys on object identity and holds strong
     references, so an entry can never alias a different (freed) array.
     """
-
-    name = "numpy"
 
     #: Distinct reach masks memoized at once. Protocol runs alternate
     #: between at most a couple of masks; keep this tiny.
@@ -151,6 +81,17 @@ class NumpyBackend:
     def step_products(
         self, reach: np.ndarray, coins: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
+        """Products for a shared ``(n, n)`` reception mask.
+
+        Args:
+            reach: ``(n, n)`` boolean; ``[u, v]`` = v's broadcasts
+                reach u.
+            coins: ``(M, n)`` boolean transmission coins (any flattened
+                trial/slot axis).
+
+        Returns:
+            ``(contenders, idsum)`` int64 arrays of shape ``(M, n)``.
+        """
         reach_f, reach_ids = self.reach_floats(reach)
         m, n = coins.shape
         contenders = np.empty((m, n), dtype=np.int64)
@@ -166,6 +107,15 @@ class NumpyBackend:
     def batch_step_products(
         self, reach: np.ndarray, coins: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
+        """Products for per-trial ``(B, n, n)`` reception masks.
+
+        Args:
+            reach: ``(B, n, n)`` boolean per-trial reception masks.
+            coins: ``(B, T, n)`` boolean per-trial per-slot coins.
+
+        Returns:
+            ``(contenders, idsum)`` int64 arrays of shape ``(B, T, n)``.
+        """
         # Batched BLAS GEMMs over the trial axis (matmul beats einsum
         # ~5x on these shapes). Per-trial masks are fresh arrays every
         # step, so there is nothing to memoize here.
@@ -178,147 +128,5 @@ class NumpyBackend:
         return contenders, idsum
 
 
-class NumbaBackend:
-    """JIT backend over the boolean masks directly (optional).
-
-    Compiled lazily on first use; construction fails with a
-    :class:`HarnessError` when numba is not importable, so selecting
-    ``--backend numba`` in an environment without it is an immediate,
-    clear error rather than a deep ImportError.
-    """
-
-    name = "numba"
-
-    def __init__(self) -> None:
-        try:
-            import numba  # noqa: F401 — availability probe
-        except ImportError as exc:  # pragma: no cover — env-dependent
-            raise HarnessError(
-                "backend 'numba' requested but numba is not installed; "
-                "install numba or use --backend numpy"
-            ) from exc
-        self._step_kernel = None
-        self._batch_kernel = None
-
-    def _kernels(self):
-        if self._step_kernel is None:
-            import numba
-
-            @numba.njit(parallel=True, cache=False)
-            def step_kernel(reach, coins, contenders, idsum):
-                m, n = coins.shape
-                for t in numba.prange(m):
-                    for u in range(n):
-                        cnt = np.int64(0)
-                        acc = np.int64(0)
-                        for v in range(n):
-                            if reach[u, v] and coins[t, v]:
-                                cnt += 1
-                                acc += v
-                        contenders[t, u] = cnt
-                        idsum[t, u] = acc
-
-            @numba.njit(parallel=True, cache=False)
-            def batch_kernel(reach, coins, contenders, idsum):
-                b, t_slots, n = coins.shape
-                for b_i in numba.prange(b):
-                    for t in range(t_slots):
-                        for u in range(n):
-                            cnt = np.int64(0)
-                            acc = np.int64(0)
-                            for v in range(n):
-                                if reach[b_i, u, v] and coins[b_i, t, v]:
-                                    cnt += 1
-                                    acc += v
-                            contenders[b_i, t, u] = cnt
-                            idsum[b_i, t, u] = acc
-
-            self._step_kernel = step_kernel
-            self._batch_kernel = batch_kernel
-        return self._step_kernel, self._batch_kernel
-
-    def step_products(
-        self, reach: np.ndarray, coins: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        step_kernel, _ = self._kernels()
-        contenders = np.empty(coins.shape, dtype=np.int64)
-        idsum = np.empty(coins.shape, dtype=np.int64)
-        step_kernel(
-            np.ascontiguousarray(reach),
-            np.ascontiguousarray(coins),
-            contenders,
-            idsum,
-        )
-        return contenders, idsum
-
-    def batch_step_products(
-        self, reach: np.ndarray, coins: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        _, batch_kernel = self._kernels()
-        contenders = np.empty(coins.shape, dtype=np.int64)
-        idsum = np.empty(coins.shape, dtype=np.int64)
-        batch_kernel(
-            np.ascontiguousarray(reach),
-            np.ascontiguousarray(coins),
-            contenders,
-            idsum,
-        )
-        return contenders, idsum
-
-
-_FACTORIES = {"numpy": NumpyBackend, "numba": NumbaBackend}
-
-_active: Optional[ArrayBackend] = None
-
-
-def available_backends() -> List[str]:
-    """Backend names usable in this environment (numpy always)."""
-    names = ["numpy"]
-    if importlib.util.find_spec("numba") is not None:
-        names.append("numba")
-    return names
-
-
-def _make(name: str) -> ArrayBackend:
-    try:
-        factory = _FACTORIES[name]
-    except KeyError:
-        raise HarnessError(
-            f"unknown backend {name!r}; expected one of: "
-            f"{', '.join(sorted(_FACTORIES))}"
-        ) from None
-    return factory()
-
-
-def active_backend() -> ArrayBackend:
-    """The backend engine calls resolve against (lazy, env-aware)."""
-    global _active
-    if _active is None:
-        _active = _make(os.environ.get(BACKEND_ENV, "numpy").strip().lower())
-    return _active
-
-
-def set_backend(
-    backend: "str | ArrayBackend | None",
-) -> ArrayBackend:
-    """Install the process-wide backend; ``None`` re-reads the env var."""
-    global _active
-    if backend is None:
-        _active = None
-        return active_backend()
-    if isinstance(backend, str):
-        backend = _make(backend.strip().lower())
-    _active = backend
-    return backend
-
-
-@contextmanager
-def use_backend(backend: "str | ArrayBackend") -> Iterator[ArrayBackend]:
-    """Scope a backend choice to a ``with`` block (tests, benchmarks)."""
-    global _active
-    previous = _active
-    installed = set_backend(backend)
-    try:
-        yield installed
-    finally:
-        _active = previous
+#: The instance every engine call resolves against.
+BACKEND = NumpyBackend()

@@ -1,110 +1,95 @@
-"""ArrayBackend selection and cross-backend bit-identity.
+"""The engine's step products: exact integers, and one patchable path.
 
-Backends compute exact integer products (counts and id-sums), so every
-correct implementation is bit-identical — pinned here against a naive
-integer reference for each backend available in this environment. The
-numba cases skip cleanly when numba is absent; CI runs them in a
-dedicated leg with numba installed.
+:class:`NumpyBackend` computes exact integer products (counts and
+id-sums) through float64 GEMMs — pinned here against a naive integer
+reference. The engine reaches the products through the class
+attributes at call time, which is what lets a profiler time the GEMM
+layer by patching ``NumpyBackend.step_products`` and
+``.batch_step_products``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro import obs
-from repro.model import HarnessError
 from repro.scenarios import run_scenario_spec
-from repro.sim.backend import (
-    BACKEND_ENV,
-    ArrayBackend,
-    NumpyBackend,
-    active_backend,
-    available_backends,
-    set_backend,
-    use_backend,
-)
+from repro.sim.backend import NumpyBackend
+from repro.sim.engine import resolve_step, resolve_step_batch
 
 from tests.test_xbatch import tiny_cseek_sweep
 
-BACKENDS = available_backends()
-
 
 def reference_products(reach, coins):
-    """Naive integer loop — the semantics every backend must match."""
+    """Naive integer products — the semantics the GEMMs must match."""
     contenders = coins.astype(np.int64) @ reach.T.astype(np.int64)
     ids = np.arange(reach.shape[-1], dtype=np.int64)
     idsum = coins.astype(np.int64) @ (reach.astype(np.int64) * ids).T
     return contenders, idsum
 
 
-@pytest.fixture(autouse=True)
-def restore_backend():
-    yield
-    set_backend("numpy")
-
-
-@pytest.mark.parametrize("name", BACKENDS)
 class TestBackendEquivalence:
-    def test_step_products_match_reference(self, name):
+    def test_step_products_match_reference(self):
         rng = np.random.default_rng(5)
         reach = rng.random((7, 7)) < 0.4
         coins = rng.random((23, 7)) < 0.5
-        with use_backend(name) as backend:
-            contenders, idsum = backend.step_products(reach, coins)
+        contenders, idsum = NumpyBackend().step_products(reach, coins)
         ref_c, ref_i = reference_products(reach, coins)
         assert contenders.dtype == np.int64
         assert np.array_equal(contenders, ref_c)
         assert np.array_equal(idsum, ref_i)
 
-    def test_batch_step_products_match_reference(self, name):
+    def test_batch_step_products_match_reference(self):
         rng = np.random.default_rng(6)
         reach = rng.random((4, 6, 6)) < 0.4
         coins = rng.random((4, 9, 6)) < 0.5
-        with use_backend(name) as backend:
-            contenders, idsum = backend.batch_step_products(reach, coins)
+        contenders, idsum = NumpyBackend().batch_step_products(reach, coins)
         for b in range(4):
             ref_c, ref_i = reference_products(reach[b], coins[b])
             assert np.array_equal(contenders[b], ref_c)
             assert np.array_equal(idsum[b], ref_i)
 
-    def test_scenario_rows_identical(self, name):
+    def test_scenario_rows_identical(self):
         spec = tiny_cseek_sweep()
         reference = run_scenario_spec(spec, seed=2, jobs="batch")
-        with use_backend(name):
-            got = run_scenario_spec(spec, seed=2, jobs="xbatch")
+        got = run_scenario_spec(spec, seed=2, jobs="xbatch")
         assert got.rows == reference.rows
 
 
-class TestSelection:
-    def test_default_is_numpy(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        backend = set_backend(None)
-        assert backend.name == "numpy"
-        assert isinstance(active_backend(), ArrayBackend)
+class TestTraceHook:
+    """Every engine GEMM goes through the patchable class attributes."""
 
-    def test_env_var_selects(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "numpy")
-        assert set_backend(None).name == "numpy"
+    def test_engine_calls_reach_patched_methods(self, monkeypatch):
+        calls = []
 
-    def test_unknown_name_rejected(self):
-        with pytest.raises(HarnessError):
-            set_backend("fortran")
+        def counting(name):
+            original = getattr(NumpyBackend, name)
 
-    def test_numba_missing_is_a_clear_error(self):
-        if "numba" in BACKENDS:
-            pytest.skip("numba installed — missing-dep path untestable")
-        with pytest.raises(HarnessError, match="not installed"):
-            set_backend("numba")
+            def wrapper(self, reach, coins):
+                calls.append(name)
+                return original(self, reach, coins)
 
-    def test_use_backend_restores_previous(self):
-        before = active_backend()
-        with use_backend("numpy") as inner:
-            assert active_backend() is inner
-        assert active_backend() is before
+            return wrapper
 
-    def test_available_always_lists_numpy(self):
-        assert "numpy" in BACKENDS
+        for name in ("step_products", "batch_step_products"):
+            monkeypatch.setattr(NumpyBackend, name, counting(name))
+
+        rng = np.random.default_rng(14)
+        n, b, t = 6, 3, 5
+        adj = np.triu(rng.random((n, n)) < 0.5, 1)
+        adj = adj | adj.T
+        channels = rng.integers(0, 2, size=n)
+        tx_role = rng.random(n) < 0.5
+        coins = rng.random((b, t, n)) < 0.5
+
+        resolve_step(adj, channels, tx_role, coins[0])
+        assert calls == ["step_products"]
+        # Shared mask: trials and slots flatten into one product.
+        resolve_step_batch(adj, channels, tx_role, coins)
+        assert calls == ["step_products"] * 2
+        # Per-trial (B, n, n) masks.
+        resolve_step_batch(adj, np.tile(channels, (b, 1)), tx_role, coins)
+        assert calls == ["step_products"] * 2 + ["batch_step_products"]
 
 
 class TestNumpyFloatCache:

@@ -6,6 +6,7 @@ an uninterrupted run, and reports/diffs must come from the store alone
 (no re-execution).
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -469,6 +470,42 @@ class TestReportAndDiff:
         assert not identical
         assert "activity (a)" in md and "Δ activity" in md
         assert "Verdict: runs differ." in md
+
+    def test_manifests_with_backend_key_still_load(self, stored):
+        """Runs stored while the engine had selectable array backends
+        carry a ``backend`` key in the campaign manifest, each entry
+        manifest and each entry's vitals. Report, gate and diff-runs
+        read them exactly as they read current runs."""
+        store = RunStore(stored)
+        run = store.latest_run("tiny")
+        clean, noisy = tiny_campaign().entries
+        gated = CampaignSpec(
+            name="tiny",
+            title="tiny study",
+            entries=(
+                dataclasses.replace(clean, role="baseline"),
+                dataclasses.replace(
+                    noisy,
+                    role="variant",
+                    success_delta=SuccessDelta(metric="median_ratio"),
+                ),
+            ),
+        )
+        report = campaign_report(run)
+        verdicts = evaluate_run(run, gated)
+
+        run.write_manifest({**run.manifest(), "backend": "numpy"})
+        for entry_id in ("clean", "noisy"):
+            path = run.entry_dir(entry_id) / "manifest.json"
+            manifest = json.loads(path.read_text())
+            manifest["backend"] = "numpy"
+            manifest["vitals"]["backend"] = "numpy"
+            path.write_text(json.dumps(manifest))
+
+        assert campaign_report(run) == report
+        assert evaluate_run(run, gated) == verdicts
+        assert diff_refs(store, "tiny", "tiny")[1]
+        assert not diff_refs(store, "tiny:clean", "tiny:noisy")[1]
 
     def test_run_vs_entry_mix_rejected(self, stored):
         with pytest.raises(HarnessError, match="cannot diff"):
