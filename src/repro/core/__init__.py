@@ -18,6 +18,7 @@ from repro.core.constants import ProtocolConstants
 from repro.core.count import (
     CountBatchOutcome,
     CountOutcome,
+    count_probabilities,
     count_schedule,
     run_count_step,
     run_count_step_batch,
@@ -83,6 +84,7 @@ __all__ = [
     "build_color_channels",
     "cgcast_lockstep_signature",
     "choose_part2_labels",
+    "count_probabilities",
     "count_schedule",
     "edges_from_discovery",
     "exchange_slot_cost",

@@ -8,7 +8,8 @@ bottlenecked on their cheapest stages. This module locksteps the tail
 too: ``B`` homogeneous CGCAST trials execute end-to-end with
 
 * discovery through :func:`~repro.core.cseek_batch.run_cseek_lockstep`
-  (one engine call per protocol step for the whole trial axis);
+  (one engine call per chunk of protocol steps for the whole trial
+  axis);
 * the oracle meeting-time exchange and color announcement reduced to
   their deterministic ledger charges, with mutual-edge extraction and
   dedicated-channel agreement as array ops over each trial's ragged

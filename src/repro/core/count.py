@@ -44,6 +44,7 @@ from repro.sim.engine import (
 __all__ = [
     "CountBatchOutcome",
     "CountOutcome",
+    "count_probabilities",
     "count_schedule",
     "run_count_step",
     "run_count_step_batch",
@@ -121,6 +122,19 @@ def count_schedule(
     return rounds, constants.count_round_length(log_n)
 
 
+def count_probabilities(
+    max_count: int, log_n: int, constants: ProtocolConstants
+) -> np.ndarray:
+    """Per-slot broadcaster transmission probabilities of one COUNT.
+
+    ``1/2^(i-1)`` in every slot of (1-based) round ``i``; shape
+    ``(rounds * round_length,)``. A broadcaster's coins for one
+    execution are ``rng.random((total_slots, n)) < probs[:, None]``.
+    """
+    rounds, round_length = count_schedule(max_count, log_n, constants)
+    return np.repeat(2.0 ** -np.arange(rounds, dtype=float), round_length)
+
+
 def _estimate_first_crossing(
     round_receptions: np.ndarray, round_length: int, threshold: float
 ) -> np.ndarray:
@@ -176,7 +190,7 @@ def run_count_step(
         constants: Schedule constants and estimation rule.
         rng: Randomness for broadcaster coins.
         jam: Optional ``(total_slots, n)`` primary-user reception-kill
-            mask (see :mod:`repro.sim.interference`).
+            mask (see :mod:`repro.sim.environment`).
 
     Returns:
         A :class:`CountOutcome`; ``estimates[u] > 0`` only for listeners
@@ -184,12 +198,8 @@ def run_count_step(
     """
     n = adjacency.shape[0]
     rounds, round_length = count_schedule(max_count, log_n, constants)
-    total_slots = rounds * round_length
-    # Per-slot transmission probability: 1/2^(i-1) in (1-based) round i.
-    probs = np.repeat(
-        2.0 ** -np.arange(rounds, dtype=float), round_length
-    )
-    coins = rng.random((total_slots, n)) < probs[:, None]
+    probs = count_probabilities(max_count, log_n, constants)
+    coins = rng.random((probs.size, n)) < probs[:, None]
     step = resolve_step(adjacency, channels, tx_role, coins, jam=jam)
     received = (step.heard_from >= 0).astype(np.int64)
     round_receptions = received.reshape(rounds, round_length, n).sum(axis=1)
@@ -203,7 +213,7 @@ def run_count_step(
         estimates=estimates,
         step=step,
         round_receptions=round_receptions,
-        num_slots=total_slots,
+        num_slots=probs.size,
     )
 
 
@@ -214,52 +224,52 @@ def run_count_step_batch(
     max_count: int,
     log_n: int,
     constants: ProtocolConstants,
-    rngs: list[np.random.Generator],
+    coins: np.ndarray,
     jam: np.ndarray | None = None,
 ) -> CountBatchOutcome:
-    """Execute ``B`` independent COUNT trials as one batched resolve.
+    """Execute ``B`` independent COUNT executions as one batched resolve.
 
-    The trials share the topology and the schedule and differ in their
-    broadcaster coins — and, optionally, in per-trial channels and roles
-    (2-D inputs), which is how CSEEK's trial-batched part-one steps ride
-    this primitive: every trial tunes its own way, but all resolve in
-    one engine call. Each trial's coins are drawn from its own generator
-    exactly as :func:`run_count_step` would draw them, so trial ``b`` of
-    the result is bit-identical to a serial call with ``rngs[b]`` —
-    batching is a pure throughput decision.
+    The rows share the schedule and differ in their broadcaster coins —
+    and, optionally, in per-row channels, roles and adjacency, which is
+    how CSEEK's lockstep part one rides this primitive: a chunk of steps
+    times a trial axis, every row tuned its own way, all resolved in one
+    engine call. Callers draw the coins, each row from its own
+    generator exactly as :func:`run_count_step` draws them
+    (``rng.random((total_slots, n)) < count_probabilities(...)[:, None]``),
+    so row ``b`` of the result is bit-identical to a serial call with
+    that generator — batching is a pure throughput decision.
 
     Args:
-        adjacency: ``(n, n)`` shared or ``(B, n, n)`` per-trial boolean
+        adjacency: ``(n, n)`` shared or ``(B, n, n)`` per-row boolean
             adjacency (the cross-point batching path).
-        channels: ``(n,)`` shared or ``(B, n)`` per-trial global channel
+        channels: ``(n,)`` shared or ``(B, n)`` per-row global channel
             per node (``-1`` idle).
-        tx_role: ``(n,)`` shared or ``(B, n)`` per-trial broadcaster
+        tx_role: ``(n,)`` shared or ``(B, n)`` per-row broadcaster
             roles.
         max_count: A-priori bound on the broadcaster count.
         log_n: ``ceil(lg n)`` for round sizing.
         constants: Schedule constants and estimation rule.
-        rngs: One generator per trial (length ``B``).
-        jam: Optional ``(B, total_slots, n)`` per-trial reception-kill
+        coins: ``(B, total_slots, n)`` boolean broadcaster coins.
+        jam: Optional ``(B, total_slots, n)`` per-row reception-kill
             mask.
 
     Returns:
-        A :class:`CountBatchOutcome` over all ``B`` trials.
+        A :class:`CountBatchOutcome` over all ``B`` rows.
     """
-    if not rngs:
-        raise ProtocolError("rngs must name at least one trial generator")
     n = adjacency.shape[-1]
     rounds, round_length = count_schedule(max_count, log_n, constants)
     total_slots = rounds * round_length
-    probs = np.repeat(
-        2.0 ** -np.arange(rounds, dtype=float), round_length
-    )
-    coins = np.stack(
-        [rng.random((total_slots, n)) < probs[:, None] for rng in rngs]
-    )
+    if coins.ndim != 3 or not coins.shape[0] or (
+        coins.shape[1:] != (total_slots, n)
+    ):
+        raise ProtocolError(
+            f"coins must have shape (B >= 1, {total_slots}, {n}), "
+            f"got {coins.shape}"
+        )
     step = resolve_step_batch(adjacency, channels, tx_role, coins, jam=jam)
     received = (step.heard_from >= 0).astype(np.int64)
     round_receptions = received.reshape(
-        len(rngs), rounds, round_length, n
+        coins.shape[0], rounds, round_length, n
     ).sum(axis=2)
     if constants.count_rule == "first_crossing":
         estimates = _estimate_first_crossing(

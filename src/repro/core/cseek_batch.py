@@ -3,14 +3,22 @@
 :class:`~repro.core.cseek.CSeek` resolves each part-one COUNT step and
 each part-two back-off window with one engine call — but a Monte Carlo
 sweep still pays that call (plus generator draws, trace scans and
-bookkeeping) once per step *per trial*. Homogeneous trials — one
-network, one configuration, only the seed varying, which is the shape of
-every sweep point in experiments E2/E3/E4/E10/E12 — admit a much better
-schedule: run all ``B`` trials in lockstep, so each part-one step is a
-single :func:`repro.core.count.run_count_step_batch` call and each
-part-two window a single
-:func:`repro.core.cseek.resolve_backoff_batch` call over the whole
-``(B, T, n)`` trial axis.
+bookkeeping) once per step *per trial*, and CSEEK's budget is many
+short steps. Homogeneous trials — one network, one configuration, only
+the seed varying, which is the shape of every sweep point in
+experiments E2/E3/E4/E10/E12 — admit a much better schedule: run all
+``B`` trials in lockstep over chunks of ``K`` fused steps. Within a
+CSEEK part no draw depends on an engine outcome (part-two labels read
+only the part-one ``counts``, final before part two starts), so each
+trial first draws a whole chunk's labels, roles and coins; then the
+chunk's ``K·B`` (step, trial) rows run through one
+:func:`repro.core.count.run_count_step_batch` call (part one) or one
+:func:`repro.sim.engine.resolve_step_batch` call (part two), one
+estimate decode and ``counts`` update, one
+:func:`repro.sim.trace.record_step_batch` pass and one ledger charge
+per trial. ``K`` comes from a fixed element budget,
+``_CHUNK_ELEMENTS // (B·n·max(n, T))`` for steps of ``T`` slots,
+which bounds the chunk's masks and coin blocks.
 
 Bit-exactness contract: trial ``b`` draws from its *own* generators
 (``RngHub(seed_b).child(rng_label)``) in exactly the order
@@ -32,8 +40,8 @@ it locksteps trials of *several* :class:`CSeekBatch` members at once
 (one per sweep point), provided they share a compatibility signature
 (:func:`lockstep_signature`: node/channel counts, step budgets,
 listener policy, rng namespace, knowledge, constants). Member networks
-may differ: the engine resolves against a per-trial ``(B, n, n)``
-adjacency stack when they do. The trial axis is the plain concatenation
+may differ: every (step, trial) row resolves against its own trial's
+adjacency. The trial axis is the plain concatenation
 of every member's seeds, so ragged per-point trial counts need no
 padding — each trial draws from its own generators either way, which is
 also why per-trial bit-identity to the serial protocol is preserved
@@ -50,16 +58,17 @@ import numpy as np
 
 from repro import obs
 from repro.core.constants import ProtocolConstants
-from repro.core.count import count_schedule, run_count_step_batch
+from repro.core.count import count_probabilities, run_count_step_batch
 from repro.core.cseek import (
     CSeek,
     CSeekResult,
     ListenerPolicy,
+    backoff_probabilities,
     choose_part2_labels,
-    resolve_backoff_batch,
 )
 from repro.model.errors import ProtocolError
 from repro.model.spec import ModelKnowledge
+from repro.sim.engine import resolve_step_batch
 from repro.sim.environment import SpectrumEnvironment
 from repro.sim.metrics import SlotLedger
 from repro.sim.network import CRNetwork
@@ -72,6 +81,12 @@ __all__ = [
     "lockstep_signature",
     "run_cseek_lockstep",
 ]
+
+#: Element budget of one fused chunk of lockstep steps: a chunk spans
+#: ``K = max(1, _CHUNK_ELEMENTS // (B·n·max(n, T)))`` steps of ``B``
+#: trials, which bounds its ``(K·B, n, n)`` reception masks and
+#: ``(K·B, T, n)`` coin and outcome blocks.
+_CHUNK_ELEMENTS = 1 << 16
 
 class CSeekBatch:
     """Run many homogeneous CSEEK trials in lockstep across the trial axis.
@@ -239,11 +254,10 @@ def run_cseek_lockstep(
     """Run every member's trials in one cross-point lockstep execution.
 
     All members must share :func:`lockstep_signature`; their networks
-    and environments may differ. Each part-one step and part-two window
-    resolves as *one* engine call over the concatenated trial axis —
-    with a shared adjacency when every member's network coincides (the
-    single-point case), or a per-trial ``(B, n, n)`` stack otherwise.
-    Per trial, generator draws, jam masks and bookkeeping are exactly
+    and environments may differ. Each chunk of part-one steps or
+    part-two windows resolves as *one* engine call over the fused
+    (step, trial) axis, against each trial's own adjacency. Per trial,
+    generator draws, jam masks and bookkeeping are exactly
     those of a per-member :meth:`CSeekBatch.run`, so results are
     bit-identical to the per-point path (and hence to serial
     :meth:`CSeek.run`) member by member.
@@ -287,21 +301,13 @@ def run_cseek_lockstep(
         for j in range(len(members))
     ]
     tables = [m.batch.network.channel_table() for m in members]
-    adjacencies = [m.batch.network.adjacency for m in members]
-    if all(
-        a is adjacencies[0] or np.array_equal(a, adjacencies[0])
-        for a in adjacencies[1:]
-    ):
-        # One shared graph (always true for a single member): keep the
-        # 2-D adjacency so the engine's shared-mask path applies.
-        adjacency = adjacencies[0]
-    else:
-        adjacency = np.concatenate(
-            [
-                np.broadcast_to(adj, (cnt, n, n))
-                for adj, cnt in zip(adjacencies, per_member)
-            ]
-        )
+    # Per-trial (B, n, n) adjacency; chunks tile it along the steps.
+    adjacency = np.concatenate(
+        [
+            np.broadcast_to(m.batch.network.adjacency, (cnt, n, n))
+            for m, cnt in zip(members, per_member)
+        ]
+    )
     rows = np.arange(n)
 
     hubs = [
@@ -309,8 +315,8 @@ def run_cseek_lockstep(
         for seeds in seed_lists
         for s in seeds
     ]
-    # One batched stream per jammed member: a single jam-mask gather
-    # per protocol step, no per-trial loop.
+    # One batched stream per jammed member: one jam-mask gather per
+    # member per protocol step, no per-trial loop.
     traffics = [
         m.batch.environment.streams(seeds)
         if m.batch.environment is not None
@@ -318,72 +324,100 @@ def run_cseek_lockstep(
         for m, seeds in zip(members, seed_lists)
     ]
 
-    def gather_jam(channels: np.ndarray, num_slots: int):
-        """Per-member jam gathers assembled over the full trial axis.
+    def chunk_inputs(labels: np.ndarray, num_slots: int):
+        """Channels and jam masks for a ``(K, B, n)`` chunk of labels.
 
+        Returns ``(channels, jam)`` with ``(K, B, n)`` channels and a
+        ``(K·B, num_slots, n)`` jam mask (None when nothing is jammed).
         Unjammed members contribute zeros, which the engine treats
         exactly like the no-jam path — so mixing jammed and unjammed
         points in one group perturbs nothing.
         """
+        channels = np.empty(labels.shape, dtype=np.int64)
+        for sl, table in zip(slices, tables):
+            channels[:, sl] = table[rows, labels[:, sl]]
         if all(t is None for t in traffics):
-            return None
-        jam = np.zeros((num_trials, num_slots, n), dtype=bool)
+            return channels, None
+        steps = labels.shape[0]
+        jam = np.zeros((steps, num_trials, num_slots, n), dtype=bool)
         for sl, traffic in zip(slices, traffics):
             if traffic is not None:
-                jam[sl] = traffic.jam_mask(channels[sl], num_slots)
-        return jam
+                for k in range(steps):
+                    jam[k, sl] = traffic.jam_mask(channels[k, sl], num_slots)
+        return channels, jam.reshape(steps * num_trials, num_slots, n)
+
+    def chunks(budget: int, num_slots: int):
+        """``(steps, adjacency rows)`` per chunk of a part's budget.
+
+        The adjacency rows are the fused ``(K·B, n, n)`` stack the
+        engine resolves the chunk's steps against, step-major.
+        """
+        k_max = max(
+            1, _CHUNK_ELEMENTS // (num_trials * n * max(n, num_slots))
+        )
+        adj_rows = np.tile(adjacency, (min(k_max, budget), 1, 1))
+        for done in range(0, budget, k_max):
+            steps = min(k_max, budget - done)
+            yield steps, adj_rows[: steps * num_trials]
 
     counts = np.zeros((num_trials, n, c), dtype=np.float64)
     traces = [TraceRecorder() for _ in range(num_trials)]
     ledgers = [SlotLedger() for _ in range(num_trials)]
-    step_starts: List[int] = []
-    # Per-step (B, n) channel snapshots, re-sliced per trial at the end.
+    step_starts: List[np.ndarray] = []
+    # Per-chunk (K, B, n) channel snapshots, re-sliced per trial at the
+    # end.
     step_channels: List[np.ndarray] = []
     slot_cursor = 0
 
-    count_rounds, count_round_len = count_schedule(
+    count_probs = count_probabilities(
         kn.max_degree, kn.log_n, proto.constants
     )
-    count_slots = count_rounds * count_round_len
+    count_slots = count_probs.size
 
     rng1 = [hub.generator("part1") for hub in hubs]
     with obs.span(stage):
-        for _ in range(proto.part1_step_budget):
-            labels = np.empty((num_trials, n), dtype=np.int64)
-            tx_role = np.empty((num_trials, n), dtype=bool)
-            for b in range(num_trials):
-                labels[b] = rng1[b].integers(0, c, size=n)
-                tx_role[b] = rng1[b].random(n) < 0.5
-            channels = np.empty((num_trials, n), dtype=np.int64)
-            for sl, table in zip(slices, tables):
-                channels[sl] = table[rows[None, :], labels[sl]]
-            jam = gather_jam(channels, count_slots)
+        for steps, adj_rows in chunks(proto.part1_step_budget, count_slots):
+            labels = np.empty((steps, num_trials, n), dtype=np.int64)
+            # Row 0 is the role draw, rows 1.. the COUNT coins: one
+            # random((T + 1, n)) is the stream of random(n) followed by
+            # random((T, n)), the serial loop's draws.
+            draws = np.empty((steps, num_trials, count_slots + 1, n))
+            for k in range(steps):
+                for b, rng in enumerate(rng1):
+                    labels[k, b] = rng.integers(0, c, size=n)
+                    rng.random(out=draws[k, b])
+            tx_role = draws[:, :, 0] < 0.5
+            coins = draws[:, :, 1:] < count_probs[:, None]
+            channels, jam = chunk_inputs(labels, count_slots)
+            fused = steps * num_trials
             outcome = run_count_step_batch(
-                adjacency,
-                channels,
-                tx_role,
+                adj_rows,
+                channels.reshape(fused, n),
+                tx_role.reshape(fused, n),
                 max_count=kn.max_degree,
                 log_n=kn.log_n,
                 constants=proto.constants,
-                rngs=rng1,
+                coins=coins.reshape(fused, count_slots, n),
                 jam=jam,
             )
-            listeners = ~tx_role
-            b_idx, u_idx = np.nonzero(listeners)
-            # (b, u) pairs are unique, so plain fancy-index
-            # accumulation matches the serial += exactly.
-            counts[b_idx, u_idx, labels[b_idx, u_idx]] += (
-                outcome.estimates[b_idx, u_idx]
+            # Estimates are 0 or powers of two, so these float sums are
+            # exact integers whatever order np.add.at adds them in.
+            k_idx, b_idx, u_idx = np.nonzero(~tx_role)
+            np.add.at(
+                counts,
+                (b_idx, u_idx, labels[k_idx, b_idx, u_idx]),
+                outcome.estimates.reshape(labels.shape)[k_idx, b_idx, u_idx],
             )
+            starts = slot_cursor + count_slots * np.arange(steps)
             record_step_batch(
-                traces, outcome.step, slot_cursor, "cseek.part1",
-                channels=channels,
+                traces, outcome.step, starts, "cseek.part1",
+                channels=channels.reshape(fused, n),
             )
-            step_starts.append(slot_cursor)
+            step_starts.append(starts)
             step_channels.append(channels)
-            slot_cursor += outcome.num_slots
+            slot_cursor += steps * count_slots
             for ledger in ledgers:
-                ledger.charge("part1", outcome.num_slots)
+                ledger.charge("part1", steps * count_slots)
 
     discovered_part_one = [
         [set(trace.heard_by(u)) for u in range(n)] for trace in traces
@@ -391,40 +425,53 @@ def run_cseek_lockstep(
 
     rng2 = [hub.generator("part2") for hub in hubs]
     backoff_len = kn.log_delta
+    backoff_probs = backoff_probabilities(backoff_len)
     with obs.span(stage):
-        for _ in range(proto.part2_step_budget):
-            labels = np.empty((num_trials, n), dtype=np.int64)
-            tx_role = np.empty((num_trials, n), dtype=bool)
-            for b in range(num_trials):
-                tx_role[b] = rng2[b].random(n) < 0.5
-                labels[b] = choose_part2_labels(
-                    rng2[b], tx_role[b], counts[b],
-                    policy=proto.part2_listener,
-                )
-            channels = np.empty((num_trials, n), dtype=np.int64)
-            for sl, table in zip(slices, tables):
-                channels[sl] = table[rows[None, :], labels[sl]]
-            jam = gather_jam(channels, backoff_len)
-            outcome = resolve_backoff_batch(
-                adjacency, channels, tx_role, backoff_len, rng2, jam=jam
+        for steps, adj_rows in chunks(proto.part2_step_budget, backoff_len):
+            labels = np.empty((steps, num_trials, n), dtype=np.int64)
+            tx_role = np.empty((steps, num_trials, n), dtype=bool)
+            draws = np.empty((steps, num_trials, backoff_len, n))
+            for k in range(steps):
+                for b, rng in enumerate(rng2):
+                    tx_role[k, b] = rng.random(n) < 0.5
+                    labels[k, b] = choose_part2_labels(
+                        rng, tx_role[k, b], counts[b],
+                        policy=proto.part2_listener,
+                    )
+                    rng.random(out=draws[k, b])
+            channels, jam = chunk_inputs(labels, backoff_len)
+            fused = steps * num_trials
+            outcome = resolve_step_batch(
+                adj_rows,
+                channels.reshape(fused, n),
+                tx_role.reshape(fused, n),
+                (draws < backoff_probs[:, None]).reshape(
+                    fused, backoff_len, n
+                ),
+                jam=jam,
             )
+            starts = slot_cursor + backoff_len * np.arange(steps)
             record_step_batch(
-                traces, outcome, slot_cursor, "cseek.part2",
-                channels=channels,
+                traces, outcome, starts, "cseek.part2",
+                channels=channels.reshape(fused, n),
             )
-            step_starts.append(slot_cursor)
+            step_starts.append(starts)
             step_channels.append(channels)
-            slot_cursor += backoff_len
+            slot_cursor += steps * backoff_len
             for ledger in ledgers:
-                ledger.charge("part2", backoff_len)
+                ledger.charge("part2", steps * backoff_len)
 
     # (S, B, n) -> per-trial (S, n) slices, matching serial vstack.
     all_channels = (
-        np.stack(step_channels)
+        np.concatenate(step_channels)
         if step_channels
         else np.zeros((0, num_trials, n), dtype=np.int64)
     )
-    step_start_arr = np.array(step_starts, dtype=np.int64)
+    step_start_arr = (
+        np.concatenate(step_starts).astype(np.int64)
+        if step_starts
+        else np.zeros(0, dtype=np.int64)
+    )
     results: List[List[CSeekResult]] = []
     for sl in slices:
         member_results: List[CSeekResult] = []

@@ -12,7 +12,7 @@ batch path of the harness:
 * :func:`run_group` concatenates the trials of every point whose
   :meth:`XBatchable.signature` matches along one trial axis and runs
   the whole group as a single lockstep execution — one engine call per
-  protocol step for *every* compatible point of the scenario
+  chunk of protocol steps for *every* compatible point of the scenario
   (``jobs="xbatch"`` and the cross-point streaming path).
 
 Three member kinds exist:
@@ -57,7 +57,7 @@ from repro.core.cgcast_batch import (
     run_cgcast_lockstep,
 )
 from repro.core.constants import ProtocolConstants
-from repro.core.count import count_schedule, run_count_step_batch
+from repro.core.count import count_probabilities, run_count_step_batch
 from repro.core.cseek import CSeek
 from repro.core.cseek_batch import (
     CSeekBatch,
@@ -230,10 +230,8 @@ class CountXBatch(XBatchable):
     @classmethod
     def run_members(cls, xs, seed_lists):
         x0 = xs[0]
-        rounds, round_length = count_schedule(
-            x0.max_count, x0.log_n, x0.constants
-        )
-        total_slots = rounds * round_length
+        probs = count_probabilities(x0.max_count, x0.log_n, x0.constants)
+        total_slots = probs.size
         n = x0.adj.shape[0]
         per_member = [len(seeds) for seeds in seed_lists]
         num_trials = sum(per_member)
@@ -258,11 +256,14 @@ class CountXBatch(XBatchable):
             max_count=x0.max_count,
             log_n=x0.log_n,
             constants=x0.constants,
-            rngs=[
-                np.random.default_rng(s)
-                for seeds in seed_lists
-                for s in seeds
-            ],
+            coins=np.stack(
+                [
+                    np.random.default_rng(s).random((total_slots, n))
+                    < probs[:, None]
+                    for seeds in seed_lists
+                    for s in seeds
+                ]
+            ),
             jam=jam,
         )
         return [

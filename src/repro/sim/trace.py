@@ -14,7 +14,7 @@ sender)`` was heard, plus optional full event logs when ``verbose``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -140,64 +140,82 @@ class TraceRecorder:
 def record_step_batch(
     recorders: Sequence[TraceRecorder],
     outcome: BatchStepOutcome,
-    start_slot: int,
+    start_slot: Union[int, Sequence[int], np.ndarray],
     phase: str,
     channels: Optional[np.ndarray] = None,
 ) -> None:
-    """Ingest one batched step into per-trial recorders in a single pass.
+    """Ingest batched steps into per-trial recorders in a single pass.
 
-    Equivalent to ``recorders[b].record_step(outcome.trial(b), ...)`` for
-    every trial ``b``, but the reception scan (the per-step cost that
-    dominates protocol bookkeeping once the engine is batched) runs once
-    over the whole ``(B, T, n)`` block instead of ``B`` times. Verbose
-    recorders fall back to the per-trial path — event logs need every
-    reception, not just firsts.
+    The outcome's rows are either one step of ``B`` trials (an int
+    ``start_slot``) or ``S`` consecutive steps of ``B`` trials each,
+    step-major — row ``s * B + b`` is step ``s`` of trial ``b``, and
+    ``start_slot`` holds each step's first global slot. Equivalent to
+    ``recorders[b].record_step(...)`` on every row in row order, so each
+    recorder's ``first_heard`` gains its new pairs step by step, each
+    step's in ``(listener, sender)`` order. The reception scan (the cost
+    that dominates protocol bookkeeping once the engine is batched) runs
+    once over the whole ``(S·B, T, n)`` block instead of once per row.
+    Verbose recorders fall back to the per-row path — event logs need
+    every reception, not just firsts.
 
     Args:
         recorders: One recorder per trial (length ``B``).
-        outcome: Batched engine result for the step.
-        start_slot: Global slot index of the step's slot 0 (shared by all
-            trials — they run in lockstep).
+        outcome: Batched engine result, ``S·B`` rows.
+        start_slot: Global slot index of slot 0 of each step, shared by
+            all trials (they run in lockstep): an int for one step, or
+            a length-``S`` sequence.
         phase: Phase label for bookkeeping.
-        channels: Optional ``(B, n)`` per-trial global channels during
-            the step, used to annotate events.
+        channels: Optional ``(S·B, n)`` per-row global channels, used
+            to annotate events.
     """
     heard = outcome.heard_from
-    if len(recorders) != heard.shape[0]:
+    num_trials = len(recorders)
+    starts = np.atleast_1d(np.asarray(start_slot, dtype=np.int64))
+    if heard.shape[0] != starts.size * num_trials:
         raise ValueError(
-            f"{len(recorders)} recorders for {heard.shape[0]} trials"
+            f"{num_trials} recorders x {starts.size} steps for "
+            f"{heard.shape[0]} rows"
         )
     if any(rec.verbose for rec in recorders):
-        for b, rec in enumerate(recorders):
-            rec.record_step(
-                outcome.trial(b),
-                start_slot,
+        for row in range(heard.shape[0]):
+            step, b = divmod(row, num_trials)
+            recorders[b].record_step(
+                outcome.trial(row),
+                int(starts[step]),
                 phase,
-                channels=channels[b] if channels is not None else None,
+                channels=channels[row] if channels is not None else None,
             )
         return
-    trials, slots, listeners = np.nonzero(heard >= 0)
-    if trials.size == 0:
+    rows, slots, listeners = np.nonzero(heard >= 0)
+    if rows.size == 0:
         return
-    senders = heard[trials, slots, listeners]
-    # np.nonzero walks row-major — (trial, slot, listener) ascending — so
-    # np.unique's first occurrence per (trial, listener, sender) key is
-    # that trial's earliest slot, exactly as in record_step.
+    senders = heard[rows, slots, listeners]
+    steps, trials = np.divmod(rows, num_trials)
+    # np.nonzero walks row-major — (step, trial, slot, listener)
+    # ascending — so np.unique's first occurrence per (trial, listener,
+    # sender) key is that trial's earliest reception, as in record_step.
     n = heard.shape[2]
-    keys = (
-        trials.astype(np.int64) * n + listeners.astype(np.int64)
-    ) * n + senders.astype(np.int64)
+    keys = (trials * n + listeners) * n + senders
     _, first_idx = np.unique(keys, return_index=True)
-    for i in first_idx.tolist():
-        b = int(trials[i])
-        key = (int(listeners[i]), int(senders[i]))
+    # np.unique leaves the firsts in key order; a stable sort by step
+    # restores the per-step insertion order of serial recording.
+    first_idx = first_idx[np.argsort(steps[first_idx], kind="stable")]
+    event_slots = starts[steps[first_idx]] + slots[first_idx]
+    event_channels = (
+        channels[rows[first_idx], listeners[first_idx]]
+        if channels is not None
+        else np.full(first_idx.size, -1)
+    )
+    for b, u, s, slot, ch in zip(
+        trials[first_idx].tolist(),
+        listeners[first_idx].tolist(),
+        senders[first_idx].tolist(),
+        event_slots.tolist(),
+        event_channels.tolist(),
+    ):
         first_heard = recorders[b].first_heard
-        if key in first_heard:
+        if (u, s) in first_heard:
             continue
-        first_heard[key] = ReceptionEvent(
-            slot=start_slot + int(slots[i]),
-            listener=key[0],
-            sender=key[1],
-            channel=int(channels[b, key[0]]) if channels is not None else -1,
-            phase=phase,
+        first_heard[(u, s)] = ReceptionEvent(
+            slot=slot, listener=u, sender=s, channel=ch, phase=phase
         )

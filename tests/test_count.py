@@ -152,15 +152,22 @@ class TestConcurrentChannels:
 class TestBatchedCount:
     @pytest.mark.parametrize("rule", ["argmax", "first_crossing"])
     def test_batch_matches_serial_per_trial(self, rule):
-        from repro.core import run_count_step_batch
+        from repro.core import count_probabilities, run_count_step_batch
 
         consts = ProtocolConstants(count_rule=rule, count_round_slots=8.0)
         adj, channels, tx_role = star_setup(4)
         seeds = [11, 12, 13]
+        probs = count_probabilities(8, 4, consts)
+        coins = np.stack(
+            [
+                np.random.default_rng(s).random((probs.size, 4 + 1))
+                < probs[:, None]
+                for s in seeds
+            ]
+        )
         batch = run_count_step_batch(
             adj, channels, tx_role,
-            max_count=8, log_n=4, constants=consts,
-            rngs=[np.random.default_rng(s) for s in seeds],
+            max_count=8, log_n=4, constants=consts, coins=coins,
         )
         assert batch.num_trials == len(seeds)
         for b, s in enumerate(seeds):
@@ -179,13 +186,16 @@ class TestBatchedCount:
             )
             assert sliced.num_slots == ref.num_slots
 
-    def test_rejects_empty_rngs(self):
+    def test_rejects_empty_or_misshapen_coins(self):
         from repro.core import run_count_step_batch
 
         adj, channels, tx_role = star_setup(2)
-        with pytest.raises(ProtocolError):
-            run_count_step_batch(
-                adj, channels, tx_role,
-                max_count=4, log_n=3,
-                constants=ProtocolConstants(), rngs=[],
-            )
+        consts = ProtocolConstants()
+        total_slots = consts.count_round_length(3) * 3
+        for shape in ((0, total_slots, 3), (1, total_slots - 1, 3)):
+            with pytest.raises(ProtocolError):
+                run_count_step_batch(
+                    adj, channels, tx_role,
+                    max_count=4, log_n=3, constants=consts,
+                    coins=np.zeros(shape, dtype=bool),
+                )

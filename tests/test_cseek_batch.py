@@ -25,6 +25,7 @@ from repro.harness import run_trials
 from repro.harness.executor import BatchedExecutor, get_executor
 from repro.model import HarnessError, ProtocolError
 from repro.sim import MarkovTraffic
+from repro.sim.engine import BatchStepOutcome
 from repro.sim.trace import TraceRecorder, record_step_batch
 
 SEEDS = [3, 17, 99]
@@ -39,7 +40,11 @@ def assert_results_equal(got, ref):
     assert np.array_equal(got.step_channels, ref.step_channels)
     assert got.total_slots == ref.total_slots
     assert got.ledger.as_dict() == ref.ledger.as_dict()
-    assert got.trace.first_heard == ref.trace.first_heard
+    # Item lists, not dicts: consumers iterate first_heard, so its
+    # insertion order is part of the contract.
+    assert list(got.trace.first_heard.items()) == list(
+        ref.trace.first_heard.items()
+    )
 
 
 class TestPlainEquivalence:
@@ -64,6 +69,7 @@ class TestPlainEquivalence:
         ref = CSeek(small_path_net, seed=5, **kwargs).run()
         assert_results_equal(batch[0], ref)
         assert batch[0].total_slots == 0
+        assert batch[0].ledger.as_dict() == {}
 
     def test_single_trial(self, small_path_net):
         batch = CSeekBatch(small_path_net).run([42])
@@ -138,6 +144,100 @@ class TestUniformListenerEquivalence:
             assert_results_equal(
                 batch[b], CSeek(star_net, seed=s, **kwargs).run()
             )
+
+
+class TestChunkBoundaries:
+    """Lockstep steps run in fused chunks; shrink the chunk budget so
+    each part spans at least three chunks, the last one ragged, and pin
+    every trial against serial :meth:`CSeek.run`.
+
+    The budget makes part one 3 steps a chunk; part two's chunks are
+    longer by ``max(n, T1) / n`` (``T1`` COUNT slots per part-one step),
+    which the part-two step budgets below account for.
+    """
+
+    def _shrink_chunks(self, monkeypatch, proto, num_trials):
+        from repro.core import cseek_batch
+        from repro.core.count import count_probabilities
+
+        n = proto.network.n
+        kn = proto.knowledge
+        count_slots = count_probabilities(
+            kn.max_degree, kn.log_n, proto.constants
+        ).size
+        budget = 3 * num_trials * n * max(n, count_slots)
+        for steps, slots in (
+            (proto.part1_step_budget, count_slots),
+            (proto.part2_step_budget, kn.log_delta),
+        ):
+            k = budget // (num_trials * n * max(n, slots))
+            assert steps // k >= 3 and steps % k, (steps, k)
+        monkeypatch.setattr(cseek_batch, "_CHUNK_ELEMENTS", budget)
+
+    def _check(self, monkeypatch, cases):
+        """``cases``: ``(make(seed) -> CSeek, seeds)`` per member."""
+        members = [
+            LockstepMember(CSeekBatch.from_serial(make(0)), seeds)
+            for make, seeds in cases
+        ]
+        self._shrink_chunks(
+            monkeypatch,
+            cases[0][0](0),
+            sum(len(seeds) for _, seeds in cases),
+        )
+        got = run_cseek_lockstep(members)
+        for results, (make, seeds) in zip(got, cases):
+            for g, s in zip(results, seeds):
+                assert_results_equal(g, make(s).run())
+
+    def test_cross_point_group_on_two_graphs(
+        self, monkeypatch, small_path_net
+    ):
+        from repro.graphs import build_network, cycle
+
+        cycle_net = build_network(cycle(8), c=6, k=2, seed=5)
+        # Path and cycle on 8 nodes: 3 and 6 steps a chunk.
+        budgets = dict(part1_steps=10, part2_steps=20)
+        self._check(
+            monkeypatch,
+            [
+                (lambda s: CSeek(small_path_net, seed=s, **budgets), [3]),
+                (lambda s: CSeek(cycle_net, seed=s, **budgets), [17]),
+            ],
+        )
+
+    def test_jammed_member_beside_clear_one(
+        self, monkeypatch, small_path_net
+    ):
+        env = MarkovTraffic(
+            sorted(small_path_net.assignment.universe()),
+            activity=0.5,
+            mean_dwell=6.0,
+        )
+        # Path on 8 nodes: 3 and 6 steps a chunk.
+        budgets = dict(part1_steps=10, part2_steps=20)
+        self._check(
+            monkeypatch,
+            [
+                (
+                    lambda s: CSeek(
+                        small_path_net, seed=s, environment=env, **budgets
+                    ),
+                    [3, 17],
+                ),
+                (lambda s: CSeek(small_path_net, seed=s, **budgets), [99]),
+            ],
+        )
+
+    def test_uniform_listener_policy(self, monkeypatch, star_net):
+        # Star on 10 nodes: 3 and 18 steps a chunk.
+        kwargs = dict(
+            part1_steps=10, part2_steps=58, part2_listener="uniform"
+        )
+        self._check(
+            monkeypatch,
+            [(lambda s: CSeek(star_net, seed=s, **kwargs), SEEDS)],
+        )
 
 
 class TestProtocolReuse:
@@ -258,7 +358,36 @@ class TestRecordStepBatch:
             ref.record_step(
                 outcome.trial(b), 100, "test", channels=channels[b]
             )
-            assert batched[b].first_heard == ref.first_heard
+            assert list(batched[b].first_heard.items()) == list(
+                ref.first_heard.items()
+            )
+
+    def test_step_axis_matches_row_by_row(self, small_path_net):
+        """``S`` steps of ``B`` trials, step-major, in one call: same
+        events and the same insertion order as recording each row in
+        turn."""
+        steps = [
+            self._batch_outcome([s + 10 * k for s in SEEDS], small_path_net)
+            for k in range(3)
+        ]
+        fused = BatchStepOutcome(
+            heard_from=np.concatenate([o.heard_from for o, _ in steps]),
+            contenders=np.concatenate([o.contenders for o, _ in steps]),
+        )
+        channels = np.concatenate([ch for _, ch in steps])
+        starts = [100, 104, 108]
+        batched = [TraceRecorder() for _ in SEEDS]
+        record_step_batch(batched, fused, starts, "test", channels=channels)
+        refs = [TraceRecorder() for _ in SEEDS]
+        for k, (outcome, ch) in enumerate(steps):
+            for b, ref in enumerate(refs):
+                ref.record_step(
+                    outcome.trial(b), starts[k], "test", channels=ch[b]
+                )
+        for got, ref in zip(batched, refs):
+            assert list(got.first_heard.items()) == list(
+                ref.first_heard.items()
+            )
 
     def test_verbose_fallback_matches(self, small_path_net):
         outcome, channels = self._batch_outcome(SEEDS, small_path_net)
@@ -270,7 +399,9 @@ class TestRecordStepBatch:
                 outcome.trial(b), 0, "test", channels=channels[b]
             )
             assert batched[b].events == ref.events
-            assert batched[b].first_heard == ref.first_heard
+            assert list(batched[b].first_heard.items()) == list(
+                ref.first_heard.items()
+            )
 
     def test_recorder_count_mismatch_rejected(self, small_path_net):
         outcome, channels = self._batch_outcome(SEEDS, small_path_net)

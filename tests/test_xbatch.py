@@ -147,7 +147,7 @@ class TestRunGroup:
         def make_b(s, net=cycle_net):
             return CSeek(net, seed=s)
 
-        post = lambda r: r.trace.first_heard  # noqa: E731
+        post = lambda r: list(r.trace.first_heard.items())  # noqa: E731
         return (
             CSeekXBatch(make_protocol=make_a, postprocess=post),
             CSeekXBatch(make_protocol=make_b, postprocess=post),
@@ -399,7 +399,10 @@ def _cseek_case(net):
     )
     return cseek_trial(
         lambda s: CSeek(net, seed=s, part1_steps=10, part2_steps=15),
-        lambda r: sorted(map(sorted, r.discovered)),
+        lambda r: (
+            sorted(map(sorted, r.discovered)),
+            list(r.trace.first_heard.items()),
+        ),
         environment=env,
     )
 
