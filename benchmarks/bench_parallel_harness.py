@@ -35,18 +35,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import (
-    CSeek,
-    CSeekBatch,
-    ProtocolConstants,
-    resolve_backoff_batch,
-)
+from repro.core import CSeek, CSeekBatch, ProtocolConstants
 from repro.core.cseek import backoff_probabilities
 from repro.graphs import build_network, random_regular
 from repro.harness import run_experiment, run_trials
 from repro.scenarios.trials import count_trial
 from repro.sim import MarkovTraffic
-from repro.sim.engine import resolve_step
+from repro.sim.engine import resolve_step, resolve_step_batch
+
+from tests.test_cseek import backoff_coins
 
 TRIALS = 64
 # The paper-exact rule implies long rounds — a deliberately heavy trial.
@@ -137,16 +134,14 @@ def bench_backoff64_serial(benchmark):
 def bench_backoff64_batched(benchmark):
     """64 part-two back-off windows in one batched resolve."""
     adj, channels, tx_role = _backoff_workload()
+    n = adj.shape[0]
     backoff_len = 5
 
     def run():
-        return resolve_backoff_batch(
-            adj,
-            channels,
-            tx_role,
-            backoff_len,
-            [np.random.default_rng(s) for s in range(TRIALS)],
+        coins = backoff_coins(
+            [np.random.default_rng(s) for s in range(TRIALS)], backoff_len, n
         )
+        return resolve_step_batch(adj, channels, tx_role, coins)
 
     assert benchmark(run).num_trials == TRIALS
 

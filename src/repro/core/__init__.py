@@ -28,7 +28,6 @@ from repro.core.cseek import (
     CSeekResult,
     DiscoveryReport,
     choose_part2_labels,
-    resolve_backoff_batch,
     verify_discovery,
 )
 from repro.core.cseek_batch import (
@@ -94,7 +93,6 @@ __all__ = [
     "oracle_exchange",
     "redisseminate",
     "redisseminate_batch",
-    "resolve_backoff_batch",
     "run_cgcast_lockstep",
     "run_cseek_lockstep",
     "run_group",

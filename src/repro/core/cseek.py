@@ -39,7 +39,7 @@ from repro.core.constants import ProtocolConstants
 from repro.core.count import run_count_step
 from repro.model.errors import ProtocolError
 from repro.model.spec import ModelKnowledge
-from repro.sim.engine import BatchStepOutcome, resolve_step, resolve_step_batch
+from repro.sim.engine import resolve_step
 from repro.sim.environment import SpectrumEnvironment
 from repro.sim.metrics import SlotLedger
 from repro.sim.network import CRNetwork
@@ -52,7 +52,6 @@ __all__ = [
     "DiscoveryReport",
     "backoff_probabilities",
     "choose_part2_labels",
-    "resolve_backoff_batch",
     "verify_discovery",
 ]
 
@@ -106,45 +105,6 @@ def backoff_probabilities(backoff_len: int) -> np.ndarray:
             f"backoff_len must be >= 1, got {backoff_len}"
         )
     return 2.0 ** -np.arange(backoff_len, 0, -1, dtype=float)
-
-
-def resolve_backoff_batch(
-    adjacency: np.ndarray,
-    channels: np.ndarray,
-    tx_role: np.ndarray,
-    backoff_len: int,
-    rngs: List[np.random.Generator],
-    jam: np.ndarray | None = None,
-) -> BatchStepOutcome:
-    """Resolve ``B`` independent part-two back-off windows in one shot.
-
-    The trials share one adjacency; channels and roles may be shared
-    (1-D) or per-trial (2-D), and each trial's Figure-1 coins come from
-    its own generator — drawn exactly as :meth:`CSeek.run` draws them,
-    so trial ``b`` is bit-identical to the serial window it replaces.
-    This is the batched counterpart of a single part-two step for
-    homogeneous-trial experiments and benchmarks.
-
-    Args:
-        adjacency: ``(n, n)`` shared or ``(B, n, n)`` per-trial boolean
-            adjacency (the cross-point batching path).
-        channels: ``(n,)`` or ``(B, n)`` global channel per node.
-        tx_role: ``(n,)`` or ``(B, n)`` broadcaster roles.
-        backoff_len: Window length (``lg Delta`` in the paper).
-        rngs: One generator per trial (length ``B``).
-        jam: Optional ``(B, backoff_len, n)`` reception-kill mask.
-
-    Returns:
-        A :class:`~repro.sim.engine.BatchStepOutcome` over all trials.
-    """
-    if not rngs:
-        raise ProtocolError("rngs must name at least one trial generator")
-    n = adjacency.shape[-1]
-    probs = backoff_probabilities(backoff_len)
-    coins = np.stack(
-        [rng.random((backoff_len, n)) < probs[:, None] for rng in rngs]
-    )
-    return resolve_step_batch(adjacency, channels, tx_role, coins, jam=jam)
 
 
 @dataclass

@@ -42,7 +42,7 @@ from repro.core import (
 from repro.graphs import builders, topologies
 from repro.harness.executor import Executor, XBatchExecutor, get_executor
 from repro.harness.runner import ExperimentTable, run_trials
-from repro.model.errors import HarnessError
+from repro.model.errors import HarnessError, ReproError
 from repro.model.spec import ceil_log2
 from repro.scenarios.spec import ScenarioSpec, resolve
 from repro.sim.rng import RngHub
@@ -449,7 +449,15 @@ def _lower_point(
             context={"m": m},
         )
 
-    net = _build_net(spec, scope)
+    try:
+        net = _build_net(spec, scope)
+    except ReproError as exc:
+        # Same type, so existing handlers still match; the message names
+        # the point and the seeds needed to replay the failure.
+        raise type(exc)(
+            f"scenario {spec.name!r} point {idx} {dict(params)} "
+            f"(seed={ctx.seed}, pseed={scope['pseed']}): {exc}"
+        ) from exc
     environment = _environment(
         spec, scope, sorted(net.assignment.universe())
     )

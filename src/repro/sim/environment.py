@@ -294,11 +294,13 @@ class MarkovTraffic(SpectrumEnvironment):
 
     Each channel is an independent ON/OFF chain with target stationary
     occupancy ``activity`` and geometric ON bursts of mean
-    ``mean_dwell`` slots. Streams stack each trial's flip blocks and
-    run the ON/OFF recurrence once, vectorized over trials x channels
-    — per trial bit-identical to the sequential one-chain-at-a-time
-    reference (same generator, same draw order), so batching changes
-    throughput, not results.
+    ``mean_dwell`` slots. Streams draw each trial's flip block into one
+    ``(B, T, C)`` buffer, precompute which cells turn a channel ON
+    (``rise``) and which keep its state (``held``), and then advance the
+    whole ``(B, C)`` state with two in-place ufuncs per slot,
+    ``state = rise ^ (state & held)``. Per trial this is bit-identical
+    to the sequential one-chain-at-a-time reference (same generator,
+    same draw order), so batching changes throughput, not results.
 
     Feasibility: the OFF->ON probability needed for stationarity
     saturates at 1, capping reachable occupancy at
@@ -388,25 +390,35 @@ class _MarkovStream(TrafficStream):
 
     def occupied_block(self, num_slots: int) -> np.ndarray:
         self._check_slots(num_slots)
-        # Per-trial flip blocks keep each generator's draw order
-        # identical to the sequential stream; the recurrence then runs
-        # once over the (B, C) state, not once per trial.
-        flips = np.stack(
-            [rng.random((num_slots, self.num_channels))
-             for rng in self._rngs]
+        # Each trial draws its (T, C) flip block from its own generator
+        # straight into the shared buffer, so the draw order is the
+        # sequential stream's.
+        flips = np.empty((self.num_trials, num_slots, self.num_channels))
+        for b, rng in enumerate(self._rngs):
+            rng.random(out=flips[b])
+        # An ON channel stays ON iff f >= off; an OFF one turns ON iff
+        # f < on. With rise = f < on and held = (f >= off) ^ rise, the
+        # next state is rise ^ (state & held): two in-place ufuncs per
+        # slot over the (B, C) state. The masks and the output are laid
+        # out slot-major so every per-slot operand is one contiguous
+        # (B, C) block.
+        by_slot = flips.transpose(1, 0, 2)
+        rise = np.less(
+            by_slot, self._on_prob, out=np.empty(by_slot.shape, bool)
         )
-        out = np.empty(
-            (self.num_trials, num_slots, self.num_channels), dtype=bool
+        held = np.greater_equal(
+            by_slot, self._off_prob, out=np.empty(by_slot.shape, bool)
         )
+        held ^= rise
+        out = np.empty(by_slot.shape, dtype=bool)
         state = self._state
-        for t in range(num_slots):
-            f = flips[:, t]
-            turn_off = state & (f < self._off_prob)
-            turn_on = ~state & (f < self._on_prob)
-            state = (state & ~turn_off) | turn_on
-            out[:, t] = state
-        self._state = state
-        return out
+        for held_t, rise_t, out_t in zip(held, rise, out):
+            np.bitwise_and(state, held_t, out=out_t)
+            out_t ^= rise_t
+            state = out_t
+        # The carried state must not alias the returned block.
+        self._state = state.copy()
+        return np.ascontiguousarray(out.transpose(1, 0, 2))
 
 
 class PoissonTraffic(SpectrumEnvironment):

@@ -4,7 +4,18 @@ import numpy as np
 import pytest
 
 from repro.core import CSeek, ProtocolConstants, verify_discovery
+from repro.core.cseek import backoff_probabilities
 from repro.model import ProtocolError
+
+
+def backoff_coins(rngs, backoff_len, n):
+    """``(B, backoff_len, n)`` part-two back-off coins, one trial per
+    generator, each drawn exactly as :meth:`CSeek.run` draws a window's
+    coins (Figure 1, line 14)."""
+    probs = backoff_probabilities(backoff_len)
+    return np.stack(
+        [rng.random((backoff_len, n)) < probs[:, None] for rng in rngs]
+    )
 
 
 class TestScheduleSizing:
@@ -153,10 +164,9 @@ class TestVerifyDiscovery:
 
 class TestBackoffBatch:
     def test_batch_matches_serial_windows(self):
-        import numpy as np
-
-        from repro.core.cseek import backoff_probabilities, resolve_backoff_batch
-        from repro.sim.engine import resolve_step
+        """One ``resolve_step_batch`` call over ``B`` back-off windows
+        equals ``B`` serial ``resolve_step`` windows."""
+        from repro.sim.engine import resolve_step, resolve_step_batch
 
         rng = np.random.default_rng(5)
         n, backoff_len = 12, 4
@@ -166,26 +176,20 @@ class TestBackoffBatch:
         channels = rng.integers(0, 3, size=n)
         tx_role = rng.random(n) < 0.5
         seeds = [3, 4, 5]
-        batch = resolve_backoff_batch(
-            adj, channels, tx_role, backoff_len,
-            [np.random.default_rng(s) for s in seeds],
+        coins = backoff_coins(
+            [np.random.default_rng(s) for s in seeds], backoff_len, n
         )
+        batch = resolve_step_batch(adj, channels, tx_role, coins)
         probs = backoff_probabilities(backoff_len)
         for b, s in enumerate(seeds):
-            coins = (
+            ref_coins = (
                 np.random.default_rng(s).random((backoff_len, n))
                 < probs[:, None]
             )
-            ref = resolve_step(adj, channels, tx_role, coins)
+            ref = resolve_step(adj, channels, tx_role, ref_coins)
             assert np.array_equal(batch.heard_from[b], ref.heard_from)
 
     def test_backoff_probabilities_shape(self):
-        import numpy as np
-        import pytest
-
-        from repro.core.cseek import backoff_probabilities
-        from repro.model import ProtocolError
-
         probs = backoff_probabilities(3)
         assert np.allclose(probs, [1 / 8, 1 / 4, 1 / 2])
         with pytest.raises(ProtocolError):

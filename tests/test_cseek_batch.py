@@ -25,8 +25,10 @@ from repro.harness import run_trials
 from repro.harness.executor import BatchedExecutor, get_executor
 from repro.model import HarnessError, ProtocolError
 from repro.sim import MarkovTraffic
-from repro.sim.engine import BatchStepOutcome
+from repro.sim.engine import BatchStepOutcome, resolve_step_batch
 from repro.sim.trace import TraceRecorder, record_step_batch
+
+from tests.test_cseek import backoff_coins
 
 SEEDS = [3, 17, 99]
 
@@ -330,8 +332,6 @@ class TestExecutorIntegration:
 
 class TestRecordStepBatch:
     def _batch_outcome(self, seeds, net):
-        from repro.core.cseek import resolve_backoff_batch
-
         rng = np.random.default_rng(0)
         n = net.n
         channels = np.stack(
@@ -339,12 +339,13 @@ class TestRecordStepBatch:
         )
         tx_role = np.stack([rng.random(n) < 0.5 for _ in seeds])
         return (
-            resolve_backoff_batch(
+            resolve_step_batch(
                 net.adjacency,
                 channels,
                 tx_role,
-                4,
-                [np.random.default_rng(s) for s in seeds],
+                backoff_coins(
+                    [np.random.default_rng(s) for s in seeds], 4, n
+                ),
             ),
             channels,
         )

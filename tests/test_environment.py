@@ -41,6 +41,24 @@ def reference_jam_mask(occupied, channel_ids, channels):
     return mask
 
 
+class GridRng:
+    """Stands in for a Generator: ``random`` returns values picked from
+    a fixed grid (in a seeded order), so tests can put flips exactly on
+    a chain's thresholds."""
+
+    def __init__(self, values):
+        self._values = np.asarray(values, dtype=float)
+        self._picks = np.random.default_rng(0)
+
+    def random(self, size=None, out=None):
+        if out is None:
+            out = np.empty(size)
+        out[...] = self._values[
+            self._picks.integers(0, self._values.size, size=out.shape)
+        ]
+        return out
+
+
 class TestMarkovBitIdentity:
     """MarkovTraffic batched vs legacy PrimaryUserTraffic streams."""
 
@@ -54,21 +72,73 @@ class TestMarkovBitIdentity:
             IDS, activity=activity, mean_dwell=dwell, seed_offset=0
         )
 
-    def test_plain_occupancy_matches_per_trial(self):
-        block = self.env().streams(SEEDS).occupied_block(300)
-        for b, s in enumerate(SEEDS):
-            ref = self.legacy(s).occupied_block(300)
-            assert np.array_equal(block[b], ref)
+    # Mean dwell 6 unless given, so off = 1/6 and the OFF->ON
+    # probability on sits below, at, and above it, then clamps at 1
+    # (activity > dwell/(dwell+1), the saturation branch).
+    REGIMES = {
+        "on_lt_off": (0.4, 6.0),
+        "on_eq_off": (0.5, 6.0),
+        "on_gt_off": (0.7, 6.0),
+        "saturated": (0.9, 1.5),
+    }
 
-    def test_saturated_activity_matches_per_trial(self):
-        # activity > dwell/(dwell+1): the OFF->ON probability clamps at
-        # 1, the recurrence's saturation branch.
-        env = self.env(activity=0.9, dwell=1.5)
-        assert env.realized_activity == pytest.approx(1.5 / 2.5)
+    @pytest.mark.parametrize("regime", list(REGIMES))
+    def test_regime_matches_per_trial(self, regime):
+        activity, dwell = self.REGIMES[regime]
+        env = self.env(activity=activity, dwell=dwell)
+        on, off = env._on_prob, env._off_prob
+        assert {
+            "on_lt_off": on < off,
+            "on_eq_off": on == off,
+            "on_gt_off": off < on < 1.0,
+            "saturated": on == 1.0,
+        }[regime]
+        assert env.realized_activity == pytest.approx(
+            self.legacy(0, activity=activity, dwell=dwell).realized_activity
+        )
         block = env.streams(SEEDS).occupied_block(400)
         for b, s in enumerate(SEEDS):
-            ref = self.legacy(s, activity=0.9, dwell=1.5)
+            ref = self.legacy(s, activity=activity, dwell=dwell)
             assert np.array_equal(block[b], ref.occupied_block(400))
+
+    @pytest.mark.parametrize("regime", list(REGIMES))
+    def test_threshold_flips_match_per_trial(self, regime):
+        # Random flips land exactly on a threshold with probability
+        # ~2^-53, so a strict-vs-loose comparison slip would pass the
+        # tests above. Feed both sides the same flips sitting on, and
+        # one ulp either side of, on and off.
+        activity, dwell = self.REGIMES[regime]
+        env = self.env(activity=activity, dwell=dwell)
+        grid = [0.0, 0.999]
+        for p in (env._on_prob, env._off_prob):
+            grid += [np.nextafter(p, 0.0), p, np.nextafter(p, 1.0)]
+        grid = [g for g in grid if g < 1.0]
+        stream = env.streams(SEEDS)
+        stream._rngs = [GridRng(grid) for _ in SEEDS]
+        block = stream.occupied_block(300)
+        for b, s in enumerate(SEEDS):
+            ref = self.legacy(s, activity=activity, dwell=dwell)
+            ref._rng = GridRng(grid)
+            assert np.array_equal(block[b], ref.occupied_block(300))
+
+    def test_heterogeneous_activity_matches_per_trial(self):
+        # One regime per channel: on < off, on = off, on > off and
+        # saturated, side by side in one block.
+        activity = [0.4, 0.5, 0.7, 0.9]
+        env = self.env(activity=activity)
+        on = env._on_prob
+        assert on[0] < env._off_prob == on[1] < on[2] < on[3] == 1.0
+        stream = env.streams(SEEDS)
+        block = np.concatenate(
+            [stream.occupied_block(size) for size in (1, 150, 49)], axis=1
+        )
+        assert np.allclose(
+            env.realized_activity,
+            self.legacy(0, activity=activity).realized_activity,
+        )
+        for b, s in enumerate(SEEDS):
+            ref = self.legacy(s, activity=activity)
+            assert np.array_equal(block[b], ref.occupied_block(200))
 
     def test_chunked_blocks_match_per_trial(self):
         # Protocols consume occupancy in uneven step-sized chunks; the

@@ -24,7 +24,8 @@ class PrimaryUserTraffic:
     Args:
         channel_ids: Global channel ids the primary users may occupy.
         activity: Target stationary occupied fraction per channel, in
-            ``[0, 1)``.
+            ``[0, 1)``: one float for every channel, or one per channel
+            (aligned with the sorted ids).
         mean_dwell: Mean ON-burst length in slots (``>= 1``); OFF
             lengths follow from the stationarity constraint.
         seed: Randomness seed.
@@ -42,11 +43,12 @@ class PrimaryUserTraffic:
     def __init__(
         self,
         channel_ids: Sequence[int],
-        activity: float,
+        activity: "float | Sequence[float]",
         mean_dwell: float = 8.0,
         seed: int = 0,
     ) -> None:
-        if not 0.0 <= activity < 1.0:
+        rates = np.asarray(activity, dtype=float)
+        if not np.all((rates >= 0.0) & (rates < 1.0)):
             raise ProtocolError(
                 f"activity must be in [0, 1), got {activity}"
             )
@@ -67,16 +69,14 @@ class PrimaryUserTraffic:
         self._column_lut, self._max_id = build_column_lut(ids)
         self._rng = np.random.default_rng(seed)
         # ON -> OFF with prob 1/dwell; OFF -> ON tuned for stationarity:
-        # p = on_rate / (on_rate + off_rate).
+        # p = on_rate / (on_rate + off_rate), clamped at 1 — per channel
+        # for a vector target.
         self._off_prob = 1.0 / mean_dwell
-        if activity == 0.0:
-            self._on_prob = 0.0
-        else:
-            self._on_prob = min(
-                1.0, activity * self._off_prob / (1.0 - activity)
-            )
+        self._on_prob = np.minimum(
+            1.0, rates * self._off_prob / (1.0 - rates)
+        )
         # Start at stationarity.
-        self._state = self._rng.random(len(ids)) < activity
+        self._state = self._rng.random(len(ids)) < rates
 
     @property
     def num_channels(self) -> int:
@@ -84,15 +84,13 @@ class PrimaryUserTraffic:
         return len(self.channel_ids)
 
     @property
-    def realized_activity(self) -> float:
-        """The stationary occupancy the chain actually attains.
+    def realized_activity(self) -> "float | np.ndarray":
+        """The stationary occupancy the chains actually attain.
 
         Equals ``activity`` whenever the target is feasible for the
         requested dwell, and the ``mean_dwell / (mean_dwell + 1)`` cap
         otherwise (see the class docstring).
         """
-        if self._on_prob == 0.0:
-            return 0.0
         return self._on_prob / (self._on_prob + self._off_prob)
 
     def occupied_block(self, num_slots: int) -> np.ndarray:

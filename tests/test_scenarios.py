@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.harness.cache import cache_key
-from repro.model import HarnessError
+from repro.model import AssignmentError, HarnessError
 from repro.scenarios import (
     AssignmentSpec,
     InterferenceSpec,
@@ -515,6 +515,27 @@ class TestDeclarativeExecution:
             )
             table = run_scenario(spec, seed=1)
             assert table.rows and "success" in table.rows[0]
+
+    def test_infeasible_point_error_names_point_and_seeds(self):
+        """The error carries everything needed to replay it and keeps
+        its type, so existing handlers still match."""
+        spec = ScenarioSpec(
+            name="infeasible",
+            title="infeasible",
+            trials=1,
+            sweep=SweepSpec(axes={"k": [1, 5]}),
+            topology=TopologySpec("random_regular", {"n": 20, "d": 4}),
+            assignment=AssignmentSpec(c=8, k="$k"),
+            protocol=ProtocolSpec("cseek"),
+        )
+        with pytest.raises(AssignmentError) as info:
+            run_scenario(spec, seed=3)
+        message = str(info.value)
+        assert message.startswith(
+            "scenario 'infeasible' point 1 {'k': 5} (seed=3, pseed=4): "
+        )
+        assert "only c=8" in message
+        assert isinstance(info.value.__cause__, AssignmentError)
 
 
 class TestScenarioCache:
